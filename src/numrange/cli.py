@@ -119,8 +119,16 @@ def _header(config: RunConfig, tolerances: dict) -> dict:
             "numrange": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "lapack": _lapack_build(),
         },
     }
+
+
+def _lapack_build() -> str:
+    """Name and version of the LAPACK numpy links: the eigen kernel's
+    last digits, and so byte-identical output, depend on it."""
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return f"{lapack['name']} {lapack['version']}"
 
 
 def _read_text(path: str) -> str:

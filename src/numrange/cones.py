@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from numrange.linalg import MatrixPencil, as_rng, jacobi_eigh
+from numrange.linalg import MatrixPencil, as_rng, batched_eigvalsh
 from numrange.poly import (
     HyperbolicityCertificate,
     MultiPoly,
@@ -27,7 +27,7 @@ from numrange.poly import (
     restrict_to_line,
     roots_univariate,
 )
-from numrange.ranges import BoundaryCloud, EmptyCloud, _combined_rows, _pencil_rows
+from numrange.ranges import BoundaryCloud, EmptyCloud
 
 MEMBERSHIP_TOL = 1e-8
 PAIRING_TOL = 1e-8
@@ -154,14 +154,7 @@ def cone_membership(spec: ConeSpec, a) -> ConeMembership:
     a = np.asarray(a, dtype=float)
     tau = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(a)))
     if spec.pencil is not None:
-        pencil = spec.pencil
-        mats = _pencil_rows(pencil)
-        coeffs = [float(a[k + 1]) for k in range(pencil.n)]
-        rows = _combined_rows(mats, coeffs, pencil.d, pencil.n)
-        for i in range(pencil.d):
-            rows[i][i] += a[0]
-        values, _, _ = jacobi_eigh(rows, pencil.d)
-        roots = tuple(sorted(values))
+        roots = tuple(batched_eigvalsh(_homogenised_stack(spec.pencil), [a])[0].tolist())
         method = "eigen"
     else:
         cs = restrict_to_line(spec.f.to_float(), list(-a), list(spec.e))
@@ -177,18 +170,22 @@ def cone_membership(spec: ConeSpec, a) -> ConeMembership:
     return ConeMembership(classification=cls, margin=margin, method=method, roots=roots)
 
 
+def _homogenised_stack(pencil: MatrixPencil) -> np.ndarray:
+    """The stack (I, A_1, ..., A_n).  Its combination along a point x is
+    x0 I + x1 A1 + ... + xn An, whose eigenvalues are the roots of
+    t -> f(t e - x) for the pencil's charpoly f.  Solving that matrix,
+    rather than adding x0 to the eigenvalues of the rest, keeps the
+    smallest eigenvalue accurate near the cone's boundary, where it
+    vanishes."""
+    return np.concatenate([np.eye(pencil.d)[None], pencil.stack()])
+
+
 def _pencil_boundary_points(pencil: MatrixPencil, directions) -> list:
     """Boundary points (h(u), -u) of the pencil's cone: the homogenized
     support contacts, where h is the top eigenvalue along u."""
-    mats = _pencil_rows(pencil)
-    d, n = pencil.d, pencil.n
-    out = []
-    for u in directions:
-        uu = [float(x) for x in u]
-        values, _, _ = jacobi_eigh(_combined_rows(mats, uu, d, n), d)
-        h = max(values)
-        out.append(np.array([h] + [-x for x in uu]))
-    return out
+    dirs = np.asarray(directions, dtype=float).reshape(-1, pencil.n)
+    h = batched_eigvalsh(pencil.stack(), dirs)[:, -1]
+    return list(np.column_stack([h, -dirs]))
 
 
 def sample_cone_boundary(spec: ConeSpec, count: int, rng=None) -> list:
@@ -205,17 +202,10 @@ def sample_cone_boundary(spec: ConeSpec, count: int, rng=None) -> list:
     e = np.asarray(spec.e, dtype=float)
     nv = fl.nvars
     if spec.pencil is not None:
-        pencil = spec.pencil
-        mats = _pencil_rows(pencil)
-        d, n = pencil.d, pencil.n
+        stack = _homogenised_stack(spec.pencil)
 
         def margin_at(x) -> float:
-            coeffs = [float(x[k + 1]) for k in range(n)]
-            rows = _combined_rows(mats, coeffs, d, n)
-            for i in range(d):
-                rows[i][i] += x[0]
-            values, _, _ = jacobi_eigh(rows, d)
-            return min(values)
+            return float(batched_eigvalsh(stack, [x])[0, 0])
 
     else:
         ee = list(spec.e)

@@ -545,10 +545,20 @@ def _taylor_shift(f: MultiPoly, x):
 
 def multiplicity_at(f: MultiPoly, x) -> int:
     """Order of vanishing of f at x: the least total degree carrying a
-    nonzero Taylor coefficient after recentering at x."""
+    nonzero Taylor coefficient after recentering at x.
+
+    Float forms are tested at x / |x| (x = 0 as given): f is homogeneous,
+    so the order is the same along the ray, while the relative zero test
+    would read the shrinking low-order coefficients near the origin as
+    zeros.
+    """
     x = list(x)
     if len(x) != f.nvars:
         raise ArityMismatch(f"point arity {len(x)} vs nvars {f.nvars}")
+    if f.domain != EXACT:
+        norm = math.sqrt(sum(float(v) ** 2 for v in x))
+        if norm > 0.0:
+            x = [float(v) / norm for v in x]
     shifted = _taylor_shift(f, x)
     if f.domain == EXACT:
         orders = sorted(sum(e) for e, c in shifted.items() if c != 0)

@@ -331,3 +331,10 @@ class TestReproHeader:
         assert header["grids"] == {"trace": 512, "test": 128}
         assert "numrange" in header["versions"]
         assert "numpy" in header["versions"]
+
+    def test_header_records_lapack_build(self, capsys):
+        code, out, _ = run(capsys, "charpoly", "--builtin", "drop", "--format", "json")
+        assert code == 0
+        versions = json.loads(out[: out.rfind("}") + 1])["header"]["versions"]
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        assert versions["lapack"] == f"{lapack['name']} {lapack['version']}"

@@ -22,6 +22,8 @@ from numrange.linalg import (
     sample_mixed_state,
     sample_pure_state,
 )
+from numrange.poly import MultiPoly, hyperbolicity_check
+from numrange.ranges import direction_grid
 
 from conftest import random_hermitian, random_pencil
 
@@ -187,3 +189,17 @@ def test_pure_states_are_extreme_rank_one(seed):
     vals = np.linalg.eigvalsh(rho.as_array())
     assert vals[-1] == pytest.approx(1.0, abs=1e-10)
     assert np.abs(vals[:-1]).max() <= 1e-10
+
+
+def test_default_rng_is_seeded():
+    """rng=None stands for a fixed seed, so defaults repeat call to call."""
+    a, b = direction_grid(4, 50), direction_grid(4, 50)
+    assert np.array_equal(a.directions, b.directions)
+    assert sample_pure_state(3) == sample_pure_state(3)
+    assert sample_mixed_state(3) == sample_mixed_state(3)
+    # x0^2 + x1^2 is not hyperbolic along e = (1, 0): the first random
+    # point drawn is the witness
+    f = MultiPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0}, "float")
+    first = hyperbolicity_check(f, (1.0, 0.0))
+    assert first.witness is not None
+    assert hyperbolicity_check(f, (1.0, 0.0)) == first

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numrange.cones import make_cone_spec, sample_cone_boundary
 from numrange.examples import (
     builtin_pencil,
     chien_nakazato_cubic_terms,
@@ -158,6 +159,21 @@ class TestMultiplicity:
         f = charpoly(cn_pencil)
         rep = check_multiplicity_lemma(f, (1, 0, 0, 0), (0, 0, 0, 1))
         assert rep.agree and rep.point_multiplicity == 2
+
+    def test_boundary_point_near_apex_keeps_its_order(self):
+        # the float charpoly of a random (5, 2) pencil; scaled toward the
+        # apex, the boundary point's low-order Taylor coefficients shrink
+        # like 0.01^4 against the top ones, below the relative zero floor
+        rng = np.random.default_rng(5)
+        pencil = random_pencil(5, 2, rng)
+        f = charpoly(pencil)
+        e = (1.0, 0.0, 0.0)
+        spec = make_cone_spec(f, e, pencil=pencil, rng=rng)
+        x = sample_cone_boundary(spec, 1, rng=rng)[0]
+        assert f.domain == "float"
+        assert check_multiplicity_lemma(f, e, list(x)).agree
+        rep = check_multiplicity_lemma(f, e, list(0.01 * x))
+        assert rep.agree and rep.point_multiplicity == 1
 
 
 class TestPrettyAndJson:
