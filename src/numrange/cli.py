@@ -176,7 +176,10 @@ def _resolve_pencil(config: RunConfig) -> MatrixPencil:
             raise CliError(EXIT_INPUT, str(exc.args[0])) from exc
     if config.input is None:
         raise CliError(EXIT_INPUT, "need --input PATH or --builtin NAME")
-    doc = _parse_json(_read_text(config.input))
+    return _pencil_document(_parse_json(_read_text(config.input)))
+
+
+def _pencil_document(doc: dict) -> MatrixPencil:
     try:
         return pencil_from_json(doc)
     except NonHermitianInput as exc:
@@ -195,15 +198,7 @@ def _resolve_polynomial(config: RunConfig) -> MultiPoly:
         raise CliError(EXIT_INPUT, "need --input PATH or --builtin NAME")
     doc = _parse_json(_read_text(config.input))
     if "matrices" in doc:
-        try:
-            return charpoly(pencil_from_json(doc))
-        except NonHermitianInput as exc:
-            raise CliError(
-                EXIT_INPUT,
-                f"non-Hermitian input at {_name_hermitian_offender(doc)}: {exc}",
-            ) from exc
-        except ValueError as exc:
-            raise CliError(EXIT_PARSE, f"malformed pencil document: {exc}") from exc
+        return charpoly(_pencil_document(doc))
     try:
         return poly_from_json(doc)
     except (ValueError, KeyError, TypeError) as exc:

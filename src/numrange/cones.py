@@ -148,18 +148,12 @@ def cone_membership(spec: ConeSpec, a) -> ConeMembership:
     All roots of the restriction t -> f(t e - a) are real for certified
     input; the point is inside when they are all positive, with margin
     the smallest root and tolerance band 1e-8 (1 + |a|) around zero.
-    Spectrahedral cones take the eigenvalue route: those roots are
-    exactly the eigenvalues of the pencil evaluated at a.
+    Spectrahedral cones take the eigenvalue route (see _line_roots).
     """
     a = np.asarray(a, dtype=float)
     tau = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(a)))
-    if spec.pencil is not None:
-        roots = tuple(batched_eigvalsh(_homogenised_stack(spec.pencil), [a])[0].tolist())
-        method = "eigen"
-    else:
-        cs = restrict_to_line(spec.f.to_float(), list(-a), list(spec.e))
-        roots = tuple(sorted(float(r.real) for r in roots_univariate(cs)))
-        method = "roots"
+    method, (roots,) = _line_roots(spec, [a])
+    roots = tuple(roots.tolist())
     margin = roots[0] if roots else math.inf
     if margin > tau:
         cls = "inside"
@@ -168,6 +162,26 @@ def cone_membership(spec: ConeSpec, a) -> ConeMembership:
     else:
         cls = "boundary"
     return ConeMembership(classification=cls, margin=margin, method=method, roots=roots)
+
+
+def _line_roots(spec: ConeSpec, points) -> tuple:
+    """The route taken and, for each row x of points, the ascending real
+    roots of s -> f(s e - x).
+
+    Spectrahedral cones take the eigenvalue route: those roots are
+    exactly the eigenvalues of x0 I + sum x_k A_k, one batched call for
+    all rows.  Other cones restrict f to each line and solve; far out on
+    a recession ray the trimmed restriction can lose all its roots.
+    """
+    points = np.asarray(points, dtype=float)
+    if spec.pencil is not None:
+        return "eigen", list(batched_eigvalsh(_homogenised_stack(spec.pencil), points))
+    fl = spec.f.to_float()
+    e = list(spec.e)
+    return "roots", [
+        np.sort([r.real for r in roots_univariate(restrict_to_line(fl, list(-x), e))])
+        for x in points
+    ]
 
 
 def _homogenised_stack(pencil: MatrixPencil) -> np.ndarray:
@@ -189,67 +203,36 @@ def _pencil_boundary_points(pencil: MatrixPencil, directions) -> list:
 
 
 def sample_cone_boundary(spec: ConeSpec, count: int, rng=None) -> list:
-    """Boundary points by bisection along random rays out of e.
+    """Boundary points where random rays out of e leave the cone.
 
-    The cone is convex, so the membership margin changes sign exactly
-    once along each ray out of e; bisecting on the margin cannot land
-    on a deeper sheet of the variety the way a sign test on f itself
-    can when the bracket expansion steps across two roots at once.
-    Rays that never leave the cone are skipped.
+    f is homogeneous, so along e + t r the roots of s -> f(s e - x) are
+    1 + t mu_i, with mu_i the roots at r: the ray leaves the cone at
+    t = -1/mu_min, and never when mu_min >= 0 (or r has no roots); such
+    rays are skipped.  One polish step x <- x - m e, with m the least
+    root at x, then puts the point on the boundary to roundoff: moving
+    along e shifts every root by the same amount.  Each ray is
+    r = (a - e)/|a - e| for a standard normal draw a, at most 60 * count
+    of them.
     """
     gen = as_rng(rng)
-    fl = spec.f.to_float()
     e = np.asarray(spec.e, dtype=float)
-    nv = fl.nvars
-    if spec.pencil is not None:
-        stack = _homogenised_stack(spec.pencil)
 
-        def margin_at(x) -> float:
-            return float(batched_eigvalsh(stack, [x])[0, 0])
-
-    else:
-        ee = list(spec.e)
-
-        def margin_at(x) -> float:
-            cs = restrict_to_line(fl, list(-x), ee)
-            rs = [float(r.real) for r in roots_univariate(cs)]
-            # far out on a recession ray the trimmed restriction can
-            # lose all its roots; that reads as never-leaving, not as a
-            # crossing
-            return min(rs) if rs else math.inf
+    def least_roots(points) -> np.ndarray:
+        return np.array([r[0] if len(r) else math.inf for r in _line_roots(spec, points)[1]])
 
     out = []
     attempts = 0
     while len(out) < count and attempts < 60 * count:
-        attempts += 1
-        a = gen.standard_normal(nv)
-        ray = a - e
-        nrm = float(np.linalg.norm(ray))
-        if nrm < 1e-12:
-            continue
-        ray /= nrm
-
-        def g(t: float) -> float:
-            return margin_at(e + t * ray)
-
-        t_hi = 1.0
-        t_lo = 0.0
-        found = False
-        for _ in range(60):
-            if g(t_hi) <= 0.0:
-                found = True
-                break
-            t_lo = t_hi
-            t_hi *= 1.9
-        if not found:
-            continue
-        for _ in range(90):
-            mid = 0.5 * (t_lo + t_hi)
-            if g(mid) <= 0.0:
-                t_hi = mid
-            else:
-                t_lo = mid
-        out.append(e + 0.5 * (t_lo + t_hi) * ray)
+        block = min(count - len(out), 60 * count - attempts)
+        attempts += block
+        rays = gen.standard_normal((block, spec.f.nvars)) - e
+        norms = np.linalg.norm(rays, axis=1)
+        keep = norms >= 1e-12
+        rays = rays[keep] / norms[keep, None]
+        mu = least_roots(rays)
+        leaves = mu < 0.0
+        x = e - rays[leaves] / mu[leaves, None]
+        out.extend(x - least_roots(x)[:, None] * e)
     return out
 
 
@@ -281,7 +264,8 @@ def dual_evaluation_points(
 
     Spectrahedral cones contribute their homogenized support contacts
     (h(u), -u) over the cloud's directions plus `states` extra random
-    directions; general cones contribute ray bisection samples.
+    directions; general cones contribute the points where `states`
+    random rays out of e leave the cone (sample_cone_boundary).
     Precompute once per cone when testing many functionals.
     """
     gen = as_rng(rng)
@@ -484,12 +468,7 @@ def cone_support_agreement(gen_a: np.ndarray, gen_b: np.ndarray, probes: int = 4
     b = np.asarray(gen_b, dtype=float)
     a = a / np.linalg.norm(a, axis=1)[:, None]
     b = b / np.linalg.norm(b, axis=1)[:, None]
-    dim = a.shape[1]
-    worst = 0.0
-    for _ in range(probes):
-        v = gen.standard_normal(dim)
-        v /= float(np.linalg.norm(v))
-        ha = float(np.max(a @ v))
-        hb = float(np.max(b @ v))
-        worst = max(worst, abs(ha - hb))
-    return worst
+    v = gen.standard_normal((probes, a.shape[1]))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    gaps = np.abs(np.max(a @ v.T, axis=0) - np.max(b @ v.T, axis=0))
+    return float(np.max(gaps, initial=0.0))

@@ -161,8 +161,9 @@ class HermitianMatrix:
     """Square conjugate-symmetric matrix in either scalar domain.
 
     Float data lives in a read-only complex ndarray; exact data is a
-    tuple of tuples of GaussianRational.  The constructor rejects input
-    whose asymmetry exceeds 1e-12 relative to the Frobenius norm.
+    tuple of tuples of GaussianRational.  The constructor rejects float
+    input with a non-finite entry, and input whose asymmetry exceeds
+    1e-12 relative to the Frobenius norm.
     """
 
     __slots__ = ("data", "dim", "domain")
@@ -172,6 +173,8 @@ class HermitianMatrix:
             a = np.asarray(data, dtype=complex)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError("matrix has a non-finite entry")
             fro = float(np.linalg.norm(a))
             asym = float(np.linalg.norm(a - a.conj().T))
             if asym > HERMITIAN_CONSTRUCT_TOL * max(fro, 1e-300):
@@ -440,7 +443,7 @@ def batched_eigh(stack, coeffs, vectors: bool = True):
     n, d = stack.shape[0], stack.shape[-1]
     # tensordot(coeffs, stack, axes=1) as one product with the flattened
     # stack: the same numbers without tensordot's per-call overhead, which
-    # matters to the one-direction callers (bisection, the gap descent)
+    # matters to the one-direction callers (the gap descent, membership)
     flat = stack.reshape(n, d * d)
     coeffs = np.asarray(coeffs, dtype=float)
     for start in range(0, len(coeffs), EIGH_CHUNK):
@@ -600,24 +603,29 @@ def pencil_from_json(text) -> MatrixPencil:
         mats = doc["matrices"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed pencil document: {exc}") from exc
+    if not isinstance(mats, (list, tuple)):
+        raise ValueError("matrices is not a list")
     if len(mats) != n:
         raise ValueError(f"expected {n} matrices, found {len(mats)}")
     exact = True
     for m in mats:
-        if len(m) != d or any(len(row) != d for row in m):
+        if not isinstance(m, (list, tuple)) or len(m) != d or any(
+            not isinstance(row, (list, tuple)) or len(row) != d for row in m
+        ):
             raise ValueError("matrix block is not d x d")
         for row in m:
             for entry in row:
                 if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                     raise ValueError(f"entry {entry!r} is not an [re, im] pair")
                 for part in entry:
-                    if isinstance(part, str):
-                        continue
-                    if isinstance(part, int) or (
-                        isinstance(part, float) and part == int(part)
-                    ):
-                        continue
-                    exact = False
+                    if isinstance(part, bool) or not isinstance(part, (str, int, float)):
+                        raise ValueError(
+                            f"entry part {part!r} is not a number or a rational string"
+                        )
+                    if isinstance(part, float):
+                        if not math.isfinite(part):
+                            raise ValueError(f"entry part {part!r} is not finite")
+                        exact = exact and part == int(part)
     out = []
     for m in mats:
         if exact:
@@ -630,8 +638,11 @@ def pencil_from_json(text) -> MatrixPencil:
             ]
             out.append(HermitianMatrix(rows, EXACT))
         else:
-            arr = np.array(
-                [[complex(float(e[0]), float(e[1])) for e in row] for row in m]
-            )
+            try:
+                arr = np.array(
+                    [[complex(float(e[0]), float(e[1])) for e in row] for row in m]
+                )
+            except OverflowError as exc:
+                raise ValueError(f"entry out of float range: {exc}") from exc
             out.append(HermitianMatrix(arr, FLOAT))
     return MatrixPencil(out)

@@ -185,31 +185,7 @@ class MultiPoly:
         return evaluate(self, x)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms, reverse=True):
-            c = self.terms[exp]
-            mono = "*".join(
-                f"x{j}" if e == 1 else f"x{j}^{e}"
-                for j, e in enumerate(exp)
-                if e > 0
-            )
-            if self.domain == EXACT:
-                cs = rational_str(c)
-            else:
-                cs = repr(c)
-            if mono:
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(cs)
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return poly_pretty(self)
 
     def __repr__(self):
         return (

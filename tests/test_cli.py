@@ -338,3 +338,49 @@ class TestReproHeader:
         versions = json.loads(out[: out.rfind("}") + 1])["header"]["versions"]
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         assert versions["lapack"] == f"{lapack['name']} {lapack['version']}"
+
+
+class TestInputRobustness:
+    """Malformed numbers end in a one-line error and a documented code."""
+
+    @staticmethod
+    def _doc(entry: str) -> str:
+        return '{"d": 2, "n": 2, "matrices": [[[%s, [0, 0]], [[0, 0], [1, 0]]], ' \
+            '[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]}' % entry
+
+    @pytest.mark.parametrize("entry", ["[1e400, 0]", "[NaN, 0]", "[true, 0]", "[0.5, -Infinity]"])
+    @pytest.mark.parametrize("subcommand", ["charpoly", "dual-fit"])
+    def test_bad_number_is_parse_error(self, capsys, tmp_path, entry, subcommand):
+        p = tmp_path / "bad.json"
+        p.write_text(self._doc(entry))
+        code, out, err = run(capsys, subcommand, "--input", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed pencil document") and err.count("\n") == 1
+
+    def test_dual_fit_names_non_hermitian_offender(self, capsys, tmp_path):
+        doc = {
+            "d": 2,
+            "n": 2,
+            "matrices": [
+                [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                [[[0, 0], [2, 0]], [[1, 0], [0, 0]]],
+            ],
+        }
+        p = tmp_path / "skew.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "dual-fit", "--input", str(p))
+        assert code == 3
+        assert "matrix 1" in err
+
+    def test_central_on_one_by_one_pencil(self, capsys, tmp_path):
+        # the range of 1x1 matrices is the single point (1, 2, 0.5): no
+        # adjacent eigenvalues, so no crossing patches to search
+        doc = {"d": 1, "n": 3, "matrices": [[[[1, 0]]], [[[2, 0]]], [[[0.5, 0]]]]}
+        p = tmp_path / "d1.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "central", "--input", str(p), "1.5,2.5,0.5")
+        assert code == 0 and err == ""
+        doc = json.loads(out[: out.rfind("}") + 1])
+        assert doc["patch_records"] == 0
+        assert doc["candidates"][0]["verdict"] == "not_central"

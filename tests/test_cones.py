@@ -244,3 +244,23 @@ def test_membership_classification_scale_invariant(scale, seed):
     scaled = cone_membership(spec, scale * a)
     if plain.classification != "boundary":
         assert scaled.classification == plain.classification
+
+
+def test_support_agreement_matches_per_probe_loop():
+    """The probes are one (probes, dim) draw of the stream a per-probe
+    loop would draw, so the loop gives the same number to roundoff."""
+    rng = np.random.default_rng(14)
+    gen_a = rng.standard_normal((300, 4))
+    gen_b = np.vstack([gen_a, rng.standard_normal((50, 4))])
+    a = gen_a / np.linalg.norm(gen_a, axis=1)[:, None]
+    b = gen_b / np.linalg.norm(gen_b, axis=1)[:, None]
+    probe_gen = np.random.default_rng(15)
+    worst = 0.0
+    for _ in range(100):
+        v = probe_gen.standard_normal(4)
+        v /= float(np.linalg.norm(v))
+        worst = max(worst, abs(float(np.max(a @ v)) - float(np.max(b @ v))))
+    got = cone_support_agreement(gen_a, gen_b, probes=100, rng=np.random.default_rng(15))
+    assert worst > 0.0
+    assert got == pytest.approx(worst, abs=1e-14)
+    assert cone_support_agreement(gen_a, gen_b, probes=0) == 0.0

@@ -203,3 +203,43 @@ def test_default_rng_is_seeded():
     first = hyperbolicity_check(f, (1.0, 0.0))
     assert first.witness is not None
     assert hyperbolicity_check(f, (1.0, 0.0)) == first
+
+
+def _one_entry_doc(re, im=0):
+    return {"d": 1, "n": 1, "matrices": [[[[re, im]]]]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d": 1, "n": 1, "matrices": [[[[1e400, 0]]]]}',
+        '{"d": 1, "n": 1, "matrices": [[[[-Infinity, 0]]]]}',
+        '{"d": 1, "n": 1, "matrices": [[[[NaN, 0]]]]}',
+        '{"d": 1, "n": 1, "matrices": [[[[true, 0]]]]}',
+        '{"d": 1, "n": 1, "matrices": [[[[1, false]]]]}',
+        '{"d": 1, "n": 1, "matrices": [[[[null, 0]]]]}',
+        '{"d": 1, "n": 1, "matrices": [[[["inf", 0.5]]]]}',
+        '{"d": 1, "n": 1, "matrices": 5}',
+        '{"d": 1, "n": 1, "matrices": [7]}',
+        '{"d": 1, "n": 1, "matrices": [[7]]}',
+    ],
+)
+def test_pencil_document_rejects_malformed_parts(text):
+    with pytest.raises(ValueError):
+        pencil_from_json(text)
+
+
+def test_pencil_document_rejects_int_beyond_float_range():
+    # an integer part is exact on its own; beside a fractional float the
+    # block goes to floats, where 10**400 does not fit
+    with pytest.raises(ValueError):
+        pencil_from_json(_one_entry_doc(10**400, 0.5))
+    assert pencil_from_json(_one_entry_doc(10**400)).domain == "exact"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_hermitian_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        HermitianMatrix([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError):
+        HermitianMatrix([[1.0, bad], [bad, 1.0]])

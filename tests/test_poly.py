@@ -223,3 +223,12 @@ def test_restriction_roots_are_eigenvalue_shifts(seed):
     m = sum(a[k + 1] * pencil.matrices[k].as_array() for k in range(2))
     want = np.sort(a[0] + np.linalg.eigvalsh(m))
     assert np.allclose(got, want, atol=1e-8 * (1 + np.abs(want).max()))
+
+
+@pytest.mark.parametrize("domain", ["exact", "float"])
+def test_str_is_the_pretty_printer(cn_pencil, domain):
+    pencil = cn_pencil if domain == "exact" else random_pencil(3, 2, np.random.default_rng(4))
+    f = charpoly(pencil)
+    assert f.domain == domain
+    assert str(f) == poly_pretty(f)
+    assert str(lorentz_form(domain)) == poly_pretty(lorentz_form(domain)) == "x0^2 - x1^2 - x2^2"
