@@ -7,6 +7,12 @@ versions); identical configuration yields byte-identical output.
 
 Exit codes, stable: 0 ok, 1 verification fail, 2 parse error, 3 input
 validation, 4 dimension mismatch, 5 unsupported request, 6 fit failure.
+Library errors map onto them in one table (_EXIT_CODES): a
+non-Hermitian input is 3, a dimension or arity mismatch 4, a dimension
+beyond a bound or an empty cloud 5, any dual-fit error 6, and every
+other linalg, poly, range, cone or hull error 5 (the input parsed, but
+the pipeline has no answer for it).  Each prints one "error:" line;
+only a failed verification exits 1.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import numpy as np
 import scipy
 
 from numrange import __version__
+from numrange.cones import ConeError
 from numrange.dual import (
+    DualError,
     NoFormFound,
     SingularForm,
     SymmetricForm,
@@ -38,20 +46,28 @@ from numrange.examples import (
     four_ellipses_conics,
     steiner_quartic_terms,
 )
-from numrange.hulls import convex_hull_2d
+from numrange.hulls import HullError, convex_hull_2d
 from numrange.linalg import (
+    DimensionMismatch,
+    LinalgError,
     MatrixPencil,
     NonHermitianInput,
     pencil_from_json,
 )
 from numrange.poly import (
+    ArityMismatch,
+    DimensionTooLarge,
     MultiPoly,
+    PolyError,
     charpoly,
     poly_from_json,
     poly_pretty,
     poly_to_json,
 )
 from numrange.ranges import (
+    EmptyCloud,
+    RangeError,
+    UnsupportedDimension,
     degenerate_patches,
     direction_grid,
     cloud_to_csv,
@@ -87,6 +103,15 @@ CN_PROBE_RADIUS = 0.005
 CN_DEFAULT_CANDIDATES = (-5.0, -2.0, -1.2, -0.9, -0.5, 0.0, 0.5, 0.9, 1.2, 2.0, 5.0)
 ELLIPSE_SAMPLES = 400
 DUAL_FIT_MAX_DEGREE = 6
+
+# Library errors that escape a subcommand, most specific first.
+_EXIT_CODES = (
+    (NonHermitianInput, EXIT_INPUT),
+    ((DimensionMismatch, ArityMismatch), EXIT_DIMENSION),
+    ((DimensionTooLarge, UnsupportedDimension, EmptyCloud), EXIT_UNSUPPORTED),
+    (DualError, EXIT_FIT),
+    ((LinalgError, PolyError, RangeError, ConeError, HullError), EXIT_UNSUPPORTED),
+)
 
 
 class CliError(Exception):
@@ -197,7 +222,7 @@ def _resolve_polynomial(config: RunConfig) -> MultiPoly:
     if config.input is None:
         raise CliError(EXIT_INPUT, "need --input PATH or --builtin NAME")
     doc = _parse_json(_read_text(config.input))
-    if "matrices" in doc:
+    if isinstance(doc, dict) and "matrices" in doc:
         return charpoly(_pencil_document(doc))
     try:
         return poly_from_json(doc)
@@ -599,10 +624,17 @@ def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         config = _config_from_args(ns)
-        return _DISPATCH[config.subcommand](config)
+        # Overflow on extreme input is left to the pipelines' own gates;
+        # numpy's warnings would break the one-line stderr contract.
+        with np.errstate(all="ignore"):
+            return _DISPATCH[config.subcommand](config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (LinalgError, PolyError, RangeError, DualError, ConeError, HullError) as exc:
+        code = next(c for kinds, c in _EXIT_CODES if isinstance(exc, kinds))
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry():

@@ -20,12 +20,12 @@ from numrange.linalg import MatrixPencil, as_rng, batched_eigvalsh
 from numrange.poly import (
     HyperbolicityCertificate,
     MultiPoly,
+    batched_roots,
     charpoly,
     evaluate,
     gradient,
     hyperbolicity_check,
     restrict_to_line,
-    roots_univariate,
 )
 from numrange.ranges import BoundaryCloud, EmptyCloud
 
@@ -170,18 +170,15 @@ def _line_roots(spec: ConeSpec, points) -> tuple:
 
     Spectrahedral cones take the eigenvalue route: those roots are
     exactly the eigenvalues of x0 I + sum x_k A_k, one batched call for
-    all rows.  Other cones restrict f to each line and solve; far out on
-    a recession ray the trimmed restriction can lose all its roots.
+    all rows.  Other cones restrict f to all the lines in one call and
+    solve them in one batch (batched_roots); far out on a recession ray
+    the trimmed restriction can lose all its roots.
     """
     points = np.asarray(points, dtype=float)
     if spec.pencil is not None:
         return "eigen", list(batched_eigvalsh(_homogenised_stack(spec.pencil), points))
-    fl = spec.f.to_float()
-    e = list(spec.e)
-    return "roots", [
-        np.sort([r.real for r in roots_univariate(restrict_to_line(fl, list(-x), e))])
-        for x in points
-    ]
+    coeffs = restrict_to_line(spec.f.to_float(), list(-points.T), list(spec.e))
+    return "roots", [np.sort(r.real) for r in batched_roots(coeffs)]
 
 
 def _homogenised_stack(pencil: MatrixPencil) -> np.ndarray:

@@ -83,7 +83,10 @@ def convex_hull_2d(points) -> ConvexHull:
     if len(pts) == 0:
         raise HullError("empty point set")
     scale = float(np.max(np.abs(pts))) if len(pts) else 0.0
-    tol = COLLINEAR_TOL * max(scale, 1.0) ** 2
+    try:
+        tol = COLLINEAR_TOL * max(scale, 1.0) ** 2
+    except OverflowError as exc:
+        raise HullError(f"coordinate scale {scale:.3e} overflows the turn test") from exc
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     unique = []
     for idx in order:

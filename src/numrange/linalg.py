@@ -58,6 +58,10 @@ class DimensionMismatch(LinalgError):
     """Operands have incompatible shapes."""
 
 
+class OutOfFloatRange(LinalgError):
+    """An exact entry is too large for the float solvers."""
+
+
 class GaussianRational:
     """Complex number with Fraction real and imaginary parts.
 
@@ -147,9 +151,13 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    """Accept 'p/q' strings, plain integers, or integer-valued floats."""
+    """Accept 'p/q' strings, plain integers, or integer-valued floats;
+    'p/0' raises ValueError."""
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {s!r}") from exc
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, float) and s == int(s):
@@ -208,9 +216,12 @@ class HermitianMatrix:
     def to_float(self) -> "HermitianMatrix":
         if self.domain == FLOAT:
             return self
-        arr = np.array(
-            [[v.to_complex() for v in row] for row in self.data], dtype=complex
-        )
+        try:
+            arr = np.array(
+                [[v.to_complex() for v in row] for row in self.data], dtype=complex
+            )
+        except OverflowError as exc:
+            raise OutOfFloatRange(f"exact entry beyond the float range: {exc}") from exc
         return HermitianMatrix(arr, FLOAT)
 
     def as_array(self) -> np.ndarray:
@@ -598,11 +609,11 @@ def pencil_from_json(text) -> MatrixPencil:
     is a rational string or an integer, floats otherwise."""
     doc = json.loads(text) if isinstance(text, str) else text
     try:
-        d = int(doc["d"])
-        n = int(doc["n"])
-        mats = doc["matrices"]
+        d, n, mats = doc["d"], doc["n"], doc["matrices"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed pencil document: {exc}") from exc
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (d, n)):
+        raise ValueError(f"d and n must be integers, got {d!r} and {n!r}")
     if not isinstance(mats, (list, tuple)):
         raise ValueError("matrices is not a list")
     if len(mats) != n:

@@ -23,6 +23,7 @@ from numrange.linalg import (
     GaussianRational,
     MatrixPencil,
     NonHermitianInput,
+    OutOfFloatRange,
     as_rng,
     parse_rational,
     rational_str,
@@ -169,12 +170,11 @@ class MultiPoly:
     def to_float(self) -> "MultiPoly":
         if self.domain == FLOAT:
             return self
-        return MultiPoly(
-            self.nvars,
-            self.degree,
-            {e: float(c) for e, c in self.terms.items()},
-            FLOAT,
-        )
+        try:
+            terms = {e: float(c) for e, c in self.terms.items()}
+        except OverflowError as exc:
+            raise OutOfFloatRange(f"exact coefficient beyond the float range: {exc}") from exc
+        return MultiPoly(self.nvars, self.degree, terms, FLOAT)
 
     def coeff_scale(self) -> float:
         if not self.terms:
@@ -251,6 +251,9 @@ def restrict_to_line(f: MultiPoly, base, dir):
     """Coefficients [c_0, ..., c_deg] of t -> f(base + t*dir).
 
     Exact when f and the points are rational; otherwise float/complex.
+    `base` may also be nvars numpy columns of shape (m,), one line per
+    row: each c_k is then a column of shape (m,), computed elementwise
+    by the same arithmetic as m scalar calls.
     """
     base = list(base)
     dir = list(dir)
@@ -307,6 +310,38 @@ def roots_univariate(coeffs) -> np.ndarray:
     if np.allclose(arr.imag, 0.0):
         arr = arr.real
     return np.atleast_1d(np.roots(arr))
+
+
+def batched_roots(coeffs) -> list:
+    """roots_univariate for each of m lines at once.
+
+    coeffs is [c_0, ..., c_deg] as restrict_to_line returns it for a
+    batch, each c_k a column of shape (m,); row i holds line i.  Real
+    finite rows that keep their full degree after the trim, with a
+    nonzero constant term, share one eigvals call over their stacked
+    companion matrices: the matrices np.roots builds for them.  Any
+    other row goes through roots_univariate.
+    """
+    c = np.column_stack(coeffs)
+    out = [None] * len(c)
+    deg = c.shape[1] - 1
+    if deg >= 1:
+        mag = np.abs(c)
+        full = (
+            np.isfinite(c).all(axis=1)
+            & (mag[:, -1] > 1e-13 * mag.max(axis=1))
+            & (c[:, 0] != 0)
+            & (np.abs(c.imag) <= 1e-8).all(axis=1)
+        )
+        idx = np.flatnonzero(full)
+        if len(idx):
+            p = c[idx].real[:, ::-1]
+            comp = np.zeros((len(idx), deg, deg))
+            comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+            for k, w in zip(idx, np.linalg.eigvals(comp)):
+                out[k] = w
+    return [roots_univariate(row) if r is None else r for row, r in zip(c, out)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +464,10 @@ def _charpoly_interpolated(pencil: MatrixPencil) -> MultiPoly:
 
 
 def _homogeneous_exponents(nvars: int, degree: int):
+    if nvars == 0:
+        if degree == 0:
+            yield ()
+        return
     if nvars == 1:
         yield (degree,)
         return
@@ -454,11 +493,15 @@ def hyperbolicity_check(
 ) -> HyperbolicityCertificate:
     """Monte-Carlo reality test of t -> f(te - a) along random points a.
 
-    A hyperbolic verdict means no counterexample was found in `trials`
-    samples with f(e) > 0.  A clear complex root (imaginary part beyond
-    1e-6 of the root scale) yields not_hyperbolic with the witness; the
-    gray band between the real-root tolerance and the witness threshold,
-    or a negative sign at e, yields inconclusive.
+    All `trials` standard normal points a are drawn as one block, and
+    their lines are restricted and solved in one batch, so the generator
+    advances by `trials` draws whatever the verdict.  A hyperbolic
+    verdict means no counterexample was found among them with f(e) > 0.
+    A clear complex root (imaginary part beyond 1e-6 of the root scale)
+    yields not_hyperbolic, with the first such a as the witness and its
+    1-based index as samples_checked; otherwise the gray band between
+    the real-root tolerance and the witness threshold, or a negative
+    sign at e, yields inconclusive.
     """
     e = [float(v) for v in e]
     if len(e) != f.nvars:
@@ -471,25 +514,20 @@ def hyperbolicity_check(
     if pe < 0:
         # sign convention not met; the caller should flip f
         return HyperbolicityCertificate(tuple(e), "inconclusive", None, 0)
-    g = as_rng(rng)
-    gray = False
-    for k in range(trials):
-        a = g.standard_normal(f.nvars)
-        coeffs = restrict_to_line(ff, list(-a), e)
-        roots = roots_univariate(coeffs)
+    points = as_rng(rng).standard_normal((trials, f.nvars))
+    verdict = "hyperbolic"
+    for k, roots in enumerate(batched_roots(restrict_to_line(ff, list(-points.T), e))):
         if len(roots) == 0:
             continue
         rscale = 1.0 + float(np.max(np.abs(roots)))
         worst = float(np.max(np.abs(roots.imag)))
         if worst > WITNESS_IMAG_TOL * rscale:
             return HyperbolicityCertificate(
-                tuple(e), "not_hyperbolic", tuple(float(v) for v in a), k + 1
+                tuple(e), "not_hyperbolic", tuple(float(v) for v in points[k]), k + 1
             )
         if worst > REAL_ROOT_TOL * rscale:
-            gray = True
-    if gray:
-        return HyperbolicityCertificate(tuple(e), "inconclusive", None, trials)
-    return HyperbolicityCertificate(tuple(e), "hyperbolic", None, trials)
+            verdict = "inconclusive"
+    return HyperbolicityCertificate(tuple(e), verdict, None, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -667,21 +705,45 @@ def poly_to_json(f: MultiPoly) -> str:
 
 
 def poly_from_json(text) -> MultiPoly:
+    """Parse the polynomial schema; exact when every coefficient is a
+    rational string or an integer, floats otherwise.  Booleans,
+    non-finite coefficients and negative or non-integer exponents are
+    rejected with ValueError."""
     doc = json.loads(text) if isinstance(text, str) else text
     try:
         nvars = len(doc["vars"])
-        degree = int(doc["degree"])
+        degree = doc["degree"]
         raw = doc["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial document: {exc}") from exc
-    exact = all(
-        isinstance(t.get("coeff"), str)
-        or isinstance(t.get("coeff"), int)
-        for t in raw
-    )
+    if not _is_count(degree):
+        raise ValueError(f"degree {degree!r} is not a nonnegative integer")
+    if not isinstance(raw, list) or not all(
+        isinstance(t, dict) and isinstance(t.get("exp"), list) for t in raw
+    ):
+        raise ValueError("terms is not a list of {exp, coeff} objects")
+    for t in raw:
+        c = t.get("coeff")
+        if isinstance(c, bool) or not isinstance(c, (str, int, float)):
+            raise ValueError(f"coefficient {c!r} is not a number or a rational string")
+        if not all(_is_count(v) for v in t["exp"]):
+            raise ValueError(f"exponent {t['exp']!r} is not a list of nonnegative integers")
+    exact = all(isinstance(t["coeff"], (str, int)) for t in raw)
     terms = {}
     for t in raw:
-        exp = tuple(int(v) for v in t["exp"])
-        c = parse_rational(t["coeff"]) if exact else float(t["coeff"])
+        exp = tuple(t["exp"])
+        if exact:
+            c = parse_rational(t["coeff"])
+        else:
+            try:
+                c = float(t["coeff"])
+            except OverflowError as exc:
+                raise ValueError(f"coefficient out of float range: {exc}") from exc
         terms[exp] = terms.get(exp, 0) + c
+    if not exact and not all(math.isfinite(c) for c in terms.values()):
+        raise ValueError("a coefficient is not finite")
     return MultiPoly(nvars, degree, terms, EXACT if exact else FLOAT)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0

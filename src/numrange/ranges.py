@@ -325,9 +325,11 @@ def degenerate_patches(
     This scans the cloud's grid for directions where adjacent branches
     nearly touch, descends to each crossing, and when the gap closes to
     roundoff emits the mixed-eigenvector sweep as simple=False records.
-    A pencil of 1x1 matrices has no adjacent branches and no patches.
+    A pencil of 1x1 matrices has no adjacent branches and no patches,
+    and a single matrix has no direction to descend along: its range is
+    the segment its traced contacts already span.
     """
-    if pencil.d < 2:
+    if pencil.d < 2 or pencil.n < 2:
         return BoundaryCloud(n=pencil.n, records=(), grid=cloud.grid, skipped=0)
     stack = pencil.stack()
     scale = 1.0 + pencil.norm()
