@@ -454,7 +454,7 @@ def batched_eigh(stack, coeffs, vectors: bool = True):
     n, d = stack.shape[0], stack.shape[-1]
     # tensordot(coeffs, stack, axes=1) as one product with the flattened
     # stack: the same numbers without tensordot's per-call overhead, which
-    # matters to the one-direction callers (the gap descent, membership)
+    # matters to the one-direction callers (membership, the patch sweep)
     flat = stack.reshape(n, d * d)
     coeffs = np.asarray(coeffs, dtype=float)
     for start in range(0, len(coeffs), EIGH_CHUNK):

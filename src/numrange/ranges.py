@@ -33,6 +33,17 @@ TANGENCY_TOL = 1e-9
 STATE_INCLUSION_TOL = 1e-6
 UNIT_NORM_TOL = 1e-12
 GAP_LOWER_SLACK = 1e-9
+# crossing patches: seed and certification gaps, relative to 1 + |pencil|,
+# and the (theta, phi) sweep of each patch
+PATCH_SEED_GAP = 0.05
+PATCH_CERTIFY_GAP = 1e-8
+PATCH_THETA_SAMPLES = 1200
+PATCH_PHI_SAMPLES = 8
+# Newton steps per crossing search.  A transversal crossing takes a few;
+# a tangential one, where a first-order coupling vanishes, only halves
+# its distance per step: at chien-nakazato's two poles 16 steps certify
+# all 24 seeds and 8 steps certify 2.
+CROSSING_STEPS = 30
 
 
 class RangeError(Exception):
@@ -218,103 +229,112 @@ def merge_boundary_clouds(a: BoundaryCloud, b: BoundaryCloud) -> BoundaryCloud:
     )
 
 
-def _min_adjacent_gap(values) -> tuple:
-    gaps = np.diff(values)
-    k = int(np.argmin(gaps))
-    return float(gaps[k]), k
-
-
 def _tangent_basis(u: np.ndarray) -> np.ndarray:
-    n = len(u)
-    # Householder frame: reflect e_1 onto u, remaining columns span u's
-    # orthogonal complement
+    """Rows spanning the orthogonal complement of each unit vector of
+    u (..., n), as an (..., n - 1, n) array."""
+    # Householder frames: the reflection taking e_1 onto u is symmetric,
+    # and its rows 2..n span u's orthogonal complement
     v = u.copy()
-    v[0] += math.copysign(1.0, u[0] if u[0] != 0 else 1.0) * np.linalg.norm(u)
-    v /= np.linalg.norm(v)
-    H = np.eye(n) - 2.0 * np.outer(v, v)
-    return H[:, 1:].T
+    v[..., 0] += np.where(u[..., 0] < 0, -1.0, 1.0) * np.linalg.norm(u, axis=-1)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.eye(u.shape[-1])[1:] - 2.0 * v[..., 1:, None] * v[..., None, :]
 
 
-def _refine_crossing(stack: np.ndarray, u0, certify: float):
-    """Descend to a local minimum of the smallest adjacent eigengap.
+def _closest_pairs(stack: np.ndarray, us: np.ndarray) -> tuple:
+    """The closest adjacent eigenvalue pair of the combination at each row
+    of us (m, n): its gap, lower index lo and mean eigenvalue, each (m,),
+    and the (m, n, 2, 2) blocks B_k = V* A_k V on its eigenvectors V."""
+    parts = list(batched_eigh(stack, us))
+    values = np.concatenate([p[1] for p in parts])
+    vectors = np.concatenate([p[2] for p in parts])
+    gaps = np.diff(values, axis=1)
+    rows = np.arange(len(us))
+    lo = gaps.argmin(axis=1)
+    pair = np.stack([vectors[rows, :, lo], vectors[rows, :, lo + 1]], axis=2)
+    blocks = pair.conj().swapaxes(1, 2)[:, None] @ stack @ pair[:, None]
+    mean = 0.5 * (values[rows, lo] + values[rows, lo + 1])
+    return gaps[rows, lo], lo, mean, blocks
 
-    A short ring descent positions the start, then Nelder-Mead in
-    tangent-plane coordinates finishes; plain coordinate descent stalls
-    in the curved valleys these gap landscapes have around a crossing.
+
+def _newton_crossings(stack: np.ndarray, us: np.ndarray, certify: float) -> tuple:
+    """Newton steps from every seed row of us toward a crossing of its
+    closest pair.
+
+    On the pair's eigenvectors V the pencil acts as the 2x2 pencil
+    B_k = V* A_k V, and the pair crosses where the traceless part of
+    sum_k u_k B_k vanishes.  To first order that is three real equations,
+    linear in u: half the difference of the diagonal, then the real and
+    the imaginary part of the off-diagonal (zero for real symmetric
+    input).  Each step solves them by least squares in the tangent plane
+    and renormalises.  Returns the final directions and their gaps.
     """
-    from scipy.optimize import minimize
-
-    u = np.asarray(u0, dtype=float)
-    u = u / np.linalg.norm(u)
-
-    def gap_at(vec) -> float:
-        vec = vec / np.linalg.norm(vec)
-        return _min_adjacent_gap(batched_eigvalsh(stack, [vec])[0])[0]
-
-    val = gap_at(u)
-    r = 0.04
-    for _ in range(60):
-        if r < 1e-6 or val <= 0.01 * certify:
+    gaps, _, _, blocks = _closest_pairs(stack, us)
+    for _ in range(CROSSING_STEPS):
+        if np.all(gaps <= 0.01 * certify):
             break
-        basis = _tangent_basis(u)
-        moved = False
-        for step in _ring_steps(len(basis)):
-            cand = u + r * (step @ basis)
-            cand = cand / np.linalg.norm(cand)
-            v = gap_at(cand)
-            if v < val:
-                u, val = cand, v
-                moved = True
-                break
-        if not moved:
-            r *= 0.55
-    basis = _tangent_basis(u)
-    center = u
+        off = blocks[..., 0, 1]
+        eqs = np.stack(
+            [0.5 * (blocks[..., 0, 0] - blocks[..., 1, 1]).real, off.real, off.imag], axis=1
+        )
+        tangent = _tangent_basis(us).swapaxes(1, 2)
+        shift = np.linalg.pinv(eqs @ tangent) @ (eqs @ us[..., None])
+        us = us - (tangent @ shift)[..., 0]
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        gaps, _, _, blocks = _closest_pairs(stack, us)
+    return us, gaps
 
-    def objective(ab) -> float:
-        return gap_at(center + ab @ basis)
 
-    res = minimize(
-        objective,
-        np.zeros(len(basis)),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600, "maxfev": 900},
+def _crossing_centers(stack: np.ndarray, directions, scale: float, max_patches: int) -> list:
+    """Certified crossings reached from the grid directions whose
+    smallest adjacent gap is at most PATCH_SEED_GAP * scale."""
+    certify = PATCH_CERTIFY_GAP * scale
+    gaps = np.diff(batched_eigvalsh(stack, directions), axis=1).min(axis=1)
+    seeds = [
+        (gap, u) for gap, u in zip(gaps.tolist(), directions) if gap <= PATCH_SEED_GAP * scale
+    ]
+    seeds.sort(key=lambda t: t[0])
+    picked = []
+    for _, u in seeds:
+        if all(np.linalg.norm(u - v) > 0.05 for v in picked):
+            picked.append(u)
+        if len(picked) >= max_patches:
+            break
+    if not picked:
+        return []
+    ends, end_gaps = _newton_crossings(stack, np.array(picked), certify)
+    centers = []
+    for uc in ends[end_gaps <= certify]:
+        if all(np.linalg.norm(uc - w) > 0.01 for w in centers):
+            centers.append(uc)
+    return centers
+
+
+def _patch_records(stack: np.ndarray, uc: np.ndarray) -> list:
+    """The expectation values of every mixture cos(t) psi1 + e^{i phi}
+    sin(t) psi2 of the closest pair at uc, over a (theta, phi) grid."""
+    _, lo, lam, blocks = _closest_pairs(stack, uc[None])
+    a = blocks[0, :, 0, 0].real
+    b = blocks[0, :, 1, 1].real
+    c = blocks[0, :, 0, 1]
+    theta = np.linspace(0.0, 0.5 * math.pi, PATCH_THETA_SAMPLES)[:, None, None]
+    phi = np.linspace(0.0, 2.0 * math.pi, PATCH_PHI_SAMPLES, endpoint=False)[:, None]
+    mix = np.cos(phi) * c.real - np.sin(phi) * c.imag
+    points = (np.cos(theta) ** 2 * a + np.sin(theta) ** 2 * b) + (
+        2.0 * (np.cos(theta) * np.sin(theta)) * mix
     )
-    if res.fun < val:
-        u = center + res.x @ basis
-        u = u / np.linalg.norm(u)
-        val = float(res.fun)
-    return u, val
-
-
-def _ring_steps(m: int) -> list:
-    if m == 1:
-        return [np.array([1.0]), np.array([-1.0])]
-    if m == 2:
-        out = []
-        for k in range(12):
-            a = 2.0 * math.pi * k / 12.0
-            out.append(np.array([math.cos(a), math.sin(a)]))
-        return out
-    steps = []
-    for i in range(m):
-        for s in (1.0, -1.0):
-            e = np.zeros(m)
-            e[i] = s
-            steps.append(e)
-    diag = np.ones(m) / math.sqrt(m)
-    steps += [diag, -diag]
-    return steps
+    direction = tuple(uc.tolist())
+    branch, eigenvalue = int(lo[0]), float(lam[0])
+    # point tuples zipped from the coordinate columns: no list per row
+    return [
+        CloudRecord(
+            point=p, direction=direction, branch=branch, eigenvalue=eigenvalue, simple=False
+        )
+        for p in zip(*points.reshape(-1, len(a)).T.tolist())
+    ]
 
 
 def degenerate_patches(
-    pencil: MatrixPencil,
-    cloud: BoundaryCloud,
-    gap_tol: float | None = None,
-    certify_tol: float | None = None,
-    max_patches: int = 24,
-    theta_samples: int = 1200,
-    phi_samples: int = 8,
+    pencil: MatrixPencil, cloud: BoundaryCloud, max_patches: int = 24
 ) -> BoundaryCloud:
     """Expectation patches at eigenvalue crossings near the traced grid.
 
@@ -322,70 +342,27 @@ def degenerate_patches(
     limit onto at a crossing; the eigenvectors there are only determined
     up to mixing, and the mixtures' expectation values fill a patch
     (for the 3x3 example's zero crossing, exactly the singular segment).
-    This scans the cloud's grid for directions where adjacent branches
-    nearly touch, descends to each crossing, and when the gap closes to
-    roundoff emits the mixed-eigenvector sweep as simple=False records.
-    A pencil of 1x1 matrices has no adjacent branches and no patches,
-    and a single matrix has no direction to descend along: its range is
-    the segment its traced contacts already span.
+
+    Seeds are the grid directions whose smallest adjacent eigengap is at
+    most PATCH_SEED_GAP * (1 + |pencil|), smallest first, at least 0.05
+    apart, at most max_patches of them.  From every seed at once, Newton
+    steps on the 2x2 pencil of the closest pair (`_newton_crossings`)
+    run until every gap is below a hundredth of the certification gap
+    PATCH_CERTIFY_GAP * (1 + |pencil|), or for CROSSING_STEPS steps.  An
+    end point whose gap is at most the certification gap is a crossing;
+    crossings closer than 0.01 to an earlier one are dropped.  Each
+    crossing emits the mixed-eigenvector sweep over PATCH_THETA_SAMPLES x
+    PATCH_PHI_SAMPLES angles as simple=False records.  A pencil of 1x1
+    matrices has no adjacent branches and no patches, and a single
+    matrix has no direction to move along: its range is the segment its
+    traced contacts already span.
     """
-    if pencil.d < 2 or pencil.n < 2:
-        return BoundaryCloud(n=pencil.n, records=(), grid=cloud.grid, skipped=0)
-    stack = pencil.stack()
-    scale = 1.0 + pencil.norm()
-    if gap_tol is None:
-        gap_tol = 0.05 * scale
-    if certify_tol is None:
-        certify_tol = 1e-8 * scale
-    gaps = np.diff(batched_eigvalsh(stack, cloud.grid.directions), axis=1).min(axis=1)
-    seeds = [
-        (gap, u) for gap, u in zip(gaps.tolist(), cloud.grid.directions) if gap <= gap_tol
-    ]
-    seeds.sort(key=lambda t: t[0])
-    picked = []
-    for gap, u in seeds:
-        if all(np.linalg.norm(u - v) > 0.05 for _, v in picked):
-            picked.append((gap, u))
-        if len(picked) >= max_patches:
-            break
-    centers = []
-    for _, u in picked:
-        uc, val = _refine_crossing(stack, u, certify_tol)
-        if val > certify_tol:
-            continue
-        if all(np.linalg.norm(uc - w) > 0.01 for w in centers):
-            centers.append(uc)
     records = []
-    for uc in centers:
-        ((_, values, vectors),) = batched_eigh(stack, [uc])
-        values, vectors = values[0], vectors[0]
-        _, lo = _min_adjacent_gap(values)
-        psi1 = vectors[:, lo]
-        psi2 = vectors[:, lo + 1]
-        a = np.array([np.vdot(psi1, m @ psi1).real for m in stack])
-        b = np.array([np.vdot(psi2, m @ psi2).real for m in stack])
-        c = np.array([np.vdot(psi1, m @ psi2) for m in stack])
-        theta = np.linspace(0.0, 0.5 * math.pi, theta_samples)
-        phi = np.linspace(0.0, 2.0 * math.pi, phi_samples, endpoint=False)
-        ct2 = np.cos(theta) ** 2
-        st2 = np.sin(theta) ** 2
-        cs = np.cos(theta) * np.sin(theta)
-        lam = 0.5 * float(values[lo] + values[lo + 1])
-        direction = tuple(float(x) for x in uc)
-        for ti in range(theta_samples):
-            base_pt = ct2[ti] * a + st2[ti] * b
-            for ph in phi:
-                mix = 2.0 * cs[ti] * (c.real * math.cos(ph) - c.imag * math.sin(ph))
-                y = base_pt + mix
-                records.append(
-                    CloudRecord(
-                        point=tuple(float(v) for v in y),
-                        direction=direction,
-                        branch=lo,
-                        eigenvalue=lam,
-                        simple=False,
-                    )
-                )
+    if pencil.d >= 2 and pencil.n >= 2:
+        stack = pencil.stack()
+        scale = 1.0 + pencil.norm()
+        for uc in _crossing_centers(stack, cloud.grid.directions, scale, max_patches):
+            records += _patch_records(stack, uc)
     return BoundaryCloud(n=pencil.n, records=tuple(records), grid=cloud.grid, skipped=0)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from numrange.dual import (
     DualError,
@@ -208,9 +208,13 @@ class TestEllipseTest:
     st.floats(-3, 3),
     st.floats(0.01, 1.0),
 )
+@example(0.5, 0.5, 0.9999999999999999)
 def test_ellipse_hull_closed_under_apex_mixing(y1, y3, t):
-    # convexity: mixing any inside point toward the apex stays inside
+    # convexity: mixing any inside point toward the apex stays inside.
+    # The mix is exact: in floats the example rounds to (1.0, 5.55e-17),
+    # a point just beside the apex and outside the hull.
     if chien_nakazato_ellipse_test(y1, y3):
-        m1 = (1 - t) * y1 + t * 1.0
+        y1, y3, t = Fraction(y1), Fraction(y3), Fraction(t)
+        m1 = (1 - t) * y1 + t
         m3 = (1 - t) * y3
         assert chien_nakazato_ellipse_test(m1, m3)
