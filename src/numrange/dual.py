@@ -20,11 +20,13 @@ import numpy as np
 from numrange.linalg import EXACT, FLOAT, MatrixPencil, as_rng
 from numrange.poly import (
     MultiPoly,
-    _homogeneous_exponents,
+    batched_evaluate,
+    batched_gradient,
+    batched_roots,
     evaluate,
-    gradient,
+    homogeneous_exponents,
+    monomial_values,
     restrict_to_line,
-    roots_univariate,
 )
 from numrange.ranges import BoundaryCloud
 
@@ -38,6 +40,9 @@ GRADIENT_FLOOR = 1e-6
 NULLSPACE_RATIO = 1e-8
 FIT_RESIDUAL_TOL = 1e-6
 TRIAL_FACTOR = 100
+# damped Newton along a sampling line: steps, and halvings per step
+POLISH_STEPS = 12
+POLISH_HALVINGS = 20
 
 
 class DualError(Exception):
@@ -170,32 +175,88 @@ def _poly_scales(f: MultiPoly):
     return fl, fl.coeff_scale()
 
 
-def _polish_on_line(coeffs, t, steps: int = 12):
-    # damped Newton on the univariate restriction
-    deriv = [k * coeffs[k] for k in range(1, len(coeffs))]
+def _horner(coeffs, t):
+    # rows of coeffs are c_0, ..., c_deg; one value per row at its t
+    acc = np.zeros(len(t), dtype=complex)
+    for k in range(coeffs.shape[1] - 1, -1, -1):
+        acc = acc * t + coeffs[:, k]
+    return acc
 
-    def ev(cs, z):
-        acc = 0.0 + 0.0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
 
-    val = ev(coeffs, t)
-    for _ in range(steps):
-        dv = ev(deriv, t)
-        if abs(dv) == 0.0:
-            break
-        step = val / dv
-        for _ in range(20):
-            cand = t - step
-            cval = ev(coeffs, cand)
-            if abs(cval) <= abs(val):
-                t, val = cand, cval
+def _polish_on_lines(coeffs, t):
+    """Damped Newton on each row's restriction, all rows at once.
+
+    Row i polishes root t[i] of c_0 + c_1 t + ... (row i of coeffs) by
+    up to POLISH_STEPS steps.  A step is halved until |value| does not
+    grow; a row stops for good when its derivative is exactly zero or
+    when POLISH_HALVINGS halvings all fail.
+    """
+    deriv = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    t = t.copy()
+    val = _horner(coeffs, t)
+    live = np.arange(len(t))
+    for _ in range(POLISH_STEPS):
+        dv = _horner(deriv[live], t[live])
+        moving = np.abs(dv) != 0.0
+        live = live[moving]
+        step = val[live] / dv[moving]
+        pending = np.arange(len(live))
+        for _ in range(POLISH_HALVINGS):
+            rows = live[pending]
+            cand = t[rows] - step[pending]
+            cval = _horner(coeffs[rows], cand)
+            ok = np.abs(cval) <= np.abs(val[rows])
+            t[rows[ok]] = cand[ok]
+            val[rows[ok]] = cval[ok]
+            pending = pending[~ok]
+            step[pending] *= 0.5
+            if not len(pending):
                 break
-            step *= 0.5
-        else:
+        live = np.delete(live, pending)
+        if not len(live):
             break
     return t
+
+
+def _regular_points(fl: MultiPoly, cscale: float, draws: np.ndarray, use_complex: bool):
+    """Trial index and point of every regular point on a block of lines.
+
+    draws is (k, 2, nv) real or (k, 4, nv) complex trials, as drawn; the
+    result keeps (trial, root) order.
+    """
+    if use_complex:
+        base = draws[:, 0] + 1j * draws[:, 1]
+        direc = draws[:, 2] + 1j * draws[:, 3]
+    else:
+        base, direc = draws[:, 0], draws[:, 1]
+    coeffs = restrict_to_line(fl, list(base.T), list(direc.T))
+    roots = batched_roots(coeffs)
+    trial = np.repeat(np.arange(len(draws)), [len(r) for r in roots])
+    if not len(trial):
+        return trial, np.empty((0, fl.nvars))
+    cs = np.column_stack(coeffs).astype(complex)[trial]
+    t = _polish_on_lines(cs, np.concatenate(roots).astype(complex))
+    deg = fl.degree
+    # multiple root on the line: the restriction's derivative vanishes
+    # too, and the point cannot be certified regular
+    dv = np.sum(cs[:, 1:] * np.arange(1, deg + 1) * t[:, None] ** np.arange(deg), axis=1)
+    top = np.abs(cs).max(axis=1)
+    keep = np.abs(dv) > 1e-6 * top * (1.0 + np.abs(t)) ** max(deg - 1, 0)
+    if not use_complex:
+        keep &= np.abs(t.imag) <= 1e-9 * (1.0 + np.abs(t))
+    trial, t = trial[keep], t[keep]
+    x = base[trial] + t[:, None] * direc[trial]
+    if not use_complex:
+        x = x.real
+    nrm = np.linalg.norm(x, axis=1)
+    keep = nrm >= 1e-12
+    trial, x = trial[keep], x[keep] / nrm[keep, None]
+    lift = 1.0 + np.abs(x).max(axis=1)
+    keep = np.abs(batched_evaluate(fl, x)) <= SAMPLE_RESIDUAL_TOL * cscale * lift**deg
+    trial, x, lift = trial[keep], x[keep], lift[keep]
+    gscale = cscale * lift ** max(deg - 1, 0)
+    keep = np.linalg.norm(batched_gradient(fl, x), axis=1) > GRADIENT_FLOOR * gscale
+    return trial[keep], x[keep]
 
 
 def sample_variety_points(f: MultiPoly, count: int, rng=None, force_complex: bool = False) -> list:
@@ -205,8 +266,15 @@ def sample_variety_points(f: MultiPoly, count: int, rng=None, force_complex: boo
     first, complex lines once the real budget is half spent), polishes
     the roots by damped Newton along the line, and keeps points where
     |f| <= 1e-10 and the gradient is bounded away from zero at the
-    local coefficient scale.  Points are returned unit-normalized;
-    raises InsufficientSamples after 100*count fruitless lines.
+    local coefficient scale.  Points are returned unit-normalized, in
+    (trial, root) order.
+
+    Trials are drawn and solved in blocks that grow geometrically and
+    never straddle the switch to complex lines, and the budget stays
+    100*count lines: InsufficientSamples is raised once they all come
+    up short.  When a block holds the count-th point, the generator is
+    rewound to the block's start and redraws only the trials up to that
+    point's, so it ends where a trial-by-trial loop would have ended.
     """
     if not f.terms or f.degree < 1:
         raise DualError("cannot sample a constant polynomial")
@@ -215,61 +283,43 @@ def sample_variety_points(f: MultiPoly, count: int, rng=None, force_complex: boo
     gen = as_rng(rng)
     out = []
     budget = TRIAL_FACTOR * count
-    for trial in range(budget):
-        use_complex = force_complex or trial >= budget // 2
-        if use_complex:
-            base = gen.standard_normal(nv) + 1j * gen.standard_normal(nv)
-            direc = gen.standard_normal(nv) + 1j * gen.standard_normal(nv)
-        else:
-            base = gen.standard_normal(nv)
-            direc = gen.standard_normal(nv)
-        coeffs = restrict_to_line(fl, base, direc)
-        cs = [complex(c) for c in coeffs]
-        top = max(abs(c) for c in cs)
-        if top == 0.0:
-            continue
-        dcs = [k * cs[k] for k in range(1, len(cs))]
-        for t in roots_univariate(cs):
-            t = _polish_on_line(cs, complex(t))
-            # multiple root on the line: the restriction's derivative
-            # vanishes too, and the point cannot be certified regular
-            dv = sum(c * t**k for k, c in enumerate(dcs))
-            if abs(dv) <= 1e-6 * top * (1.0 + abs(t)) ** max(fl.degree - 1, 0):
-                continue
-            x = base + t * direc
-            if not use_complex:
-                if abs(t.imag) > 1e-9 * (1.0 + abs(t)):
-                    continue
-                x = x.real
-            nrm = float(np.linalg.norm(x))
-            if nrm < 1e-12:
-                continue
-            x = x / nrm
-            local = cscale * (1.0 + float(np.max(np.abs(x)))) ** fl.degree
-            if abs(evaluate(fl, list(x))) > SAMPLE_RESIDUAL_TOL * local:
-                continue
-            g = np.array(gradient(fl, list(x)))
-            gscale = cscale * (1.0 + float(np.max(np.abs(x)))) ** max(fl.degree - 1, 0)
-            if float(np.linalg.norm(g)) <= GRADIENT_FLOOR * gscale:
-                continue
-            out.append(x)
-            if len(out) >= count:
-                return out
+    switch = 0 if force_complex else budget // 2
+    done = 0
+    while done < budget:
+        use_complex = done >= switch
+        k = min(max(count - len(out), done, 1), (budget if use_complex else switch) - done)
+        shape = (k, 4 if use_complex else 2, nv)
+        state = gen.bit_generator.state
+        trial, x = _regular_points(fl, cscale, gen.standard_normal(shape), use_complex)
+        need = count - len(out)
+        if len(trial) >= need:
+            gen.bit_generator.state = state
+            gen.standard_normal((int(trial[need - 1]) + 1,) + shape[1:])
+            return out + list(x[:need])
+        out += list(x)
+        done += k
     raise InsufficientSamples(
         f"found {len(out)} of {count} regular points in {budget} line trials"
     )
 
 
 def tangent_functionals(f: MultiPoly, points) -> list:
-    """Unit-normalized gradients of f at the given variety points."""
-    fl = f.to_float()
+    """Unit-normalized gradients of f at the given variety points.
+
+    A real point gives a real functional, a complex point a complex one.
+    """
+    if not len(points):
+        return []
+    x = np.asarray(points)
+    if x.dtype == object:
+        x = x.astype(float)
+    g = batched_gradient(f, x)
+    nrm = np.linalg.norm(g, axis=1)
     out = []
-    for x in points:
-        g = np.array(gradient(fl, list(x)))
-        nrm = float(np.linalg.norm(g))
-        if nrm < 1e-300:
+    for p, row, n in zip(points, g, nrm):
+        if n < 1e-300:
             continue
-        out.append(g / nrm)
+        out.append((row if np.iscomplexobj(p) else row.real) / n)
     return out
 
 
@@ -297,22 +347,12 @@ class DualFitResult:
 
 
 def _monomial_rows(functionals, exponents) -> np.ndarray:
-    rows = []
-    for ell in functionals:
-        vals = []
-        for exp in exponents:
-            v = 1.0 + 0.0j
-            for base, e in zip(ell, exp):
-                if e:
-                    v *= complex(base) ** e
-            vals.append(v)
-        vals = np.array(vals)
-        if np.max(np.abs(vals.imag)) > 1e-14:
-            rows.append(vals.real)
-            rows.append(vals.imag)
-        else:
-            rows.append(vals.real)
-    return np.array(rows)
+    # one row per functional, plus its imaginary part as a second row
+    # when that is not negligible
+    vals = monomial_values(np.array(functionals, dtype=complex), exponents)
+    split = np.abs(vals.imag).max(axis=1) > 1e-14
+    rows = np.stack([vals.real, vals.imag], axis=1)
+    return rows[np.column_stack([np.ones_like(split), split])]
 
 
 def dual_fit(f: MultiPoly, max_degree: int, rng=None, samples: int | None = None) -> DualFitResult:
@@ -330,7 +370,7 @@ def dual_fit(f: MultiPoly, max_degree: int, rng=None, samples: int | None = None
         raise DualError("max_degree must be at least 1")
     gen = as_rng(rng)
     nv = f.nvars
-    largest = len(list(_homogeneous_exponents(nv, max_degree)))
+    largest = len(list(homogeneous_exponents(nv, max_degree)))
     if samples is None:
         samples = max(3 * largest, 120)
     pts = sample_variety_points(f, samples, gen)
@@ -340,7 +380,7 @@ def dual_fit(f: MultiPoly, max_degree: int, rng=None, samples: int | None = None
     test = tangent_functionals(f, held)
     trace = []
     for degree in range(1, max_degree + 1):
-        exponents = list(_homogeneous_exponents(nv, degree))
+        exponents = list(homogeneous_exponents(nv, degree))
         A = _monomial_rows(train, exponents)
         if A.shape[0] < len(exponents):
             trace.append((degree, math.inf, math.inf))
@@ -352,8 +392,8 @@ def dual_fit(f: MultiPoly, max_degree: int, rng=None, samples: int | None = None
         if coeffs[k] < 0:
             coeffs = -coeffs
         form = MultiPoly(nv, degree, dict(zip(exponents, map(float, coeffs))), FLOAT)
-        resid = [abs(evaluate(form, list(ell))) for ell in test]
-        rms = math.sqrt(sum(r * r for r in resid) / len(resid)) if resid else math.inf
+        resid = np.abs(batched_evaluate(form, test)) if test else np.array([math.inf])
+        rms = float(np.sqrt(np.mean(resid**2)))
         trace.append((degree, gap, rms))
         if gap < NULLSPACE_RATIO and rms <= FIT_RESIDUAL_TOL:
             return DualFitResult(

@@ -69,7 +69,9 @@ class MultiPoly:
     polynomial keeps its nominal degree with an empty term map.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "domain")
+    # _float caches an exact polynomial's to_float(), _float_form a float
+    # polynomial's compiled arrays (see _float_form); both are set once
+    __slots__ = ("nvars", "degree", "terms", "domain", "_float", "_float_form")
 
     def __init__(self, nvars: int, degree: int, terms: dict, domain: str):
         clean = {}
@@ -92,6 +94,8 @@ class MultiPoly:
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_float", None)
+        object.__setattr__(self, "_float_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -170,11 +174,13 @@ class MultiPoly:
     def to_float(self) -> "MultiPoly":
         if self.domain == FLOAT:
             return self
-        try:
-            terms = {e: float(c) for e, c in self.terms.items()}
-        except OverflowError as exc:
-            raise OutOfFloatRange(f"exact coefficient beyond the float range: {exc}") from exc
-        return MultiPoly(self.nvars, self.degree, terms, FLOAT)
+        if self._float is None:
+            try:
+                terms = {e: float(c) for e, c in self.terms.items()}
+            except OverflowError as exc:
+                raise OutOfFloatRange(f"exact coefficient beyond the float range: {exc}") from exc
+            object.__setattr__(self, "_float", MultiPoly(self.nvars, self.degree, terms, FLOAT))
+        return self._float
 
     def coeff_scale(self) -> float:
         if not self.terms:
@@ -240,26 +246,112 @@ def partial_derivative(f: MultiPoly, j: int) -> MultiPoly:
 
 
 def gradient(f: MultiPoly, x):
-    """All first partial derivatives of f evaluated at x."""
+    """All first partial derivatives of f evaluated at x.
+
+    A float form evaluates the partial derivatives cached on it.
+    """
     x = list(x)
     if len(x) != f.nvars:
         raise ArityMismatch(f"point arity {len(x)} vs nvars {f.nvars}")
-    return [evaluate(partial_derivative(f, j), x) for j in range(f.nvars)]
+    if f.domain == FLOAT:
+        partials = _float_form(f)[2]
+    else:
+        partials = [partial_derivative(f, j) for j in range(f.nvars)]
+    return [evaluate(p, x) for p in partials]
+
+
+def _float_form(f: MultiPoly):
+    """(exps, coeffs, partials, grad_exps, grad_coeffs) of a float form.
+
+    exps is the (T, nvars) exponent matrix of f's terms and coeffs the
+    matching column.  partials are the nvars partial derivatives.  The
+    gradient at x is monomial_values(x, grad_exps) @ grad_coeffs, whose
+    column j holds d/dx_j.  Built on first use and kept in f's own slot,
+    so it lives exactly as long as f.
+    """
+    form = f._float_form
+    if form is None:
+        nv = f.nvars
+        exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), nv)
+        coeffs = np.array(list(f.terms.values()), dtype=float)
+        partials = tuple(partial_derivative(f, j) for j in range(nv))
+        rows = {}
+        for p in partials:
+            for e in p.terms:
+                rows.setdefault(e, len(rows))
+        grad_exps = np.array(list(rows), dtype=np.int64).reshape(len(rows), nv)
+        grad_coeffs = np.zeros((len(rows), nv))
+        for j, p in enumerate(partials):
+            for e, c in p.terms.items():
+                grad_coeffs[rows[e], j] = c
+        form = (exps, coeffs, partials, grad_exps, grad_coeffs)
+        object.__setattr__(f, "_float_form", form)
+    return form
+
+
+def monomial_values(points, exponents) -> np.ndarray:
+    """x^e for each row x of points (m, nvars) and row e of exponents.
+
+    Returns shape (m, T) for T exponent rows.  Powers are built per
+    variable by repeated multiplication, as evaluate builds them.
+    """
+    x = np.asarray(points)
+    exps = np.asarray(exponents, dtype=np.int64)
+    out = np.ones((len(x), len(exps)), dtype=np.result_type(x, float))
+    for j in range(x.shape[1]):
+        top = int(exps[:, j].max(initial=0))
+        if top == 0:
+            continue
+        pows = np.ones((len(x), top + 1), dtype=out.dtype)
+        for e in range(1, top + 1):
+            pows[:, e] = pows[:, e - 1] * x[:, j]
+        out *= pows[:, exps[:, j]]
+    return out
+
+
+def _point_rows(f: MultiPoly, points) -> np.ndarray:
+    x = np.asarray(points)
+    if x.ndim != 2 or x.shape[1] != f.nvars:
+        raise ArityMismatch(f"points of shape {x.shape} vs nvars {f.nvars}")
+    return x
+
+
+def batched_evaluate(f: MultiPoly, points) -> np.ndarray:
+    """evaluate at each row of an (m, nvars) float or complex array.
+
+    Returns shape (m,).  The terms are summed in another order than
+    evaluate sums them, so the two agree to roundoff, not bit for bit.
+    """
+    x = _point_rows(f, points)
+    exps, coeffs = _float_form(f.to_float())[:2]
+    return monomial_values(x, exps) @ coeffs
+
+
+def batched_gradient(f: MultiPoly, points) -> np.ndarray:
+    """gradient at each row of an (m, nvars) array: shape (m, nvars)."""
+    x = _point_rows(f, points)
+    grad_exps, grad_coeffs = _float_form(f.to_float())[3:]
+    return monomial_values(x, grad_exps) @ grad_coeffs
 
 
 def restrict_to_line(f: MultiPoly, base, dir):
     """Coefficients [c_0, ..., c_deg] of t -> f(base + t*dir).
 
     Exact when f and the points are rational; otherwise float/complex.
-    `base` may also be nvars numpy columns of shape (m,), one line per
-    row: each c_k is then a column of shape (m,), computed elementwise
-    by the same arithmetic as m scalar calls.
+    `base`, `dir` or both may also be nvars numpy columns of shape (m,),
+    one line per row: each c_k is then a column of shape (m,), computed
+    elementwise by the same arithmetic as m scalar calls.  Every row's
+    direction must be nonzero.
     """
     base = list(base)
     dir = list(dir)
     if len(base) != f.nvars or len(dir) != f.nvars:
         raise ArityMismatch("base/dir arity mismatch")
-    if all(v == 0 for v in dir):
+    if any(isinstance(v, np.ndarray) for v in dir):
+        zero = (np.stack(np.broadcast_arrays(*dir)) == 0).all(axis=0).any()
+    else:
+        zero = all(v == 0 for v in dir)
+    if zero:
         raise ValueError("direction must be nonzero")
     deg = f.degree
     out = [0] * (deg + 1)
@@ -316,11 +408,13 @@ def batched_roots(coeffs) -> list:
     """roots_univariate for each of m lines at once.
 
     coeffs is [c_0, ..., c_deg] as restrict_to_line returns it for a
-    batch, each c_k a column of shape (m,); row i holds line i.  Real
-    finite rows that keep their full degree after the trim, with a
-    nonzero constant term, share one eigvals call over their stacked
-    companion matrices: the matrices np.roots builds for them.  Any
-    other row goes through roots_univariate.
+    batch, each c_k a column of shape (m,); row i holds line i.  Finite
+    rows that keep their full degree after the trim, with a nonzero
+    constant term, share one eigvals call over their stacked companion
+    matrices: the matrices np.roots builds for them.  As there, a row
+    whose imaginary parts are all within 1e-8 of zero is solved as a
+    real row, and any other row as a complex one, in a second stack.
+    Every remaining row goes through roots_univariate.
     """
     c = np.column_stack(coeffs)
     out = [None] * len(c)
@@ -331,12 +425,14 @@ def batched_roots(coeffs) -> list:
             np.isfinite(c).all(axis=1)
             & (mag[:, -1] > 1e-13 * mag.max(axis=1))
             & (c[:, 0] != 0)
-            & (np.abs(c.imag) <= 1e-8).all(axis=1)
         )
-        idx = np.flatnonzero(full)
-        if len(idx):
-            p = c[idx].real[:, ::-1]
-            comp = np.zeros((len(idx), deg, deg))
+        real = (np.abs(c.imag) <= 1e-8).all(axis=1)
+        for rows, part in ((full & real, c.real), (full & ~real, c)):
+            idx = np.flatnonzero(rows)
+            if not len(idx):
+                continue
+            p = part[idx][:, ::-1]
+            comp = np.zeros((len(idx), deg, deg), dtype=p.dtype)
             comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
             comp[:, 0, :] = -p[:, 1:] / p[:, :1]
             for k, w in zip(idx, np.linalg.eigvals(comp)):
@@ -438,19 +534,17 @@ def _charpoly_interpolated(pencil: MatrixPencil) -> MultiPoly:
     integer grid; float pencils with d > 6 only."""
     d, n = pencil.d, pencil.n
     nvars = n + 1
-    exps = sorted(_homogeneous_exponents(nvars, d), reverse=True)
+    exps = sorted(homogeneous_exponents(nvars, d), reverse=True)
     rng = np.random.default_rng(20240 + 16 * d + n)
     rows = 3 * len(exps)
     pts = rng.integers(-3, 4, size=(rows, nvars)).astype(float)
     pts[np.all(pts == 0, axis=1)] = 1.0
     stack = pencil.stack()
-    A = np.empty((rows, len(exps)))
+    A = monomial_values(pts, exps)
     b = np.empty(rows)
     eye = np.eye(d)
     for s in range(rows):
         x = pts[s]
-        for c, exp in enumerate(exps):
-            A[s, c] = np.prod([x[j] ** e for j, e in enumerate(exp)])
         M = x[0] * eye + np.tensordot(x[1:], stack, axes=1)
         b[s] = float(np.real(np.linalg.det(M)))
     coeffs, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -463,7 +557,9 @@ def _charpoly_interpolated(pencil: MatrixPencil) -> MultiPoly:
     return MultiPoly(nvars, d, terms, FLOAT)
 
 
-def _homogeneous_exponents(nvars: int, degree: int):
+def homogeneous_exponents(nvars: int, degree: int):
+    """Every exponent tuple of nvars entries summing to degree, in
+    descending lexicographic order."""
     if nvars == 0:
         if degree == 0:
             yield ()
@@ -472,7 +568,7 @@ def _homogeneous_exponents(nvars: int, degree: int):
         yield (degree,)
         return
     for first in range(degree, -1, -1):
-        for rest in _homogeneous_exponents(nvars - 1, degree - first):
+        for rest in homogeneous_exponents(nvars - 1, degree - first):
             yield (first,) + rest
 
 
