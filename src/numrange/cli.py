@@ -497,12 +497,17 @@ def _resolve_conics(config: RunConfig) -> list:
     if config.input is None:
         return four_ellipses_conics()
     doc = _parse_json(_read_text(config.input))
-    raw = doc.get("conics")
-    if raw is None:
-        raise CliError(EXIT_PARSE, "expected top-level key 'conics'")
+    raw = doc.get("conics") if isinstance(doc, dict) else None
+    if not isinstance(raw, list):
+        raise CliError(EXIT_PARSE, "expected top-level key 'conics' holding a list")
     out = []
     for k, m in enumerate(raw):
-        arr = np.asarray(m, dtype=float)
+        try:
+            arr = np.asarray(m, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CliError(EXIT_PARSE, f"conic {k} is not a numeric matrix: {exc}") from exc
+        if not np.all(np.isfinite(arr)):
+            raise CliError(EXIT_PARSE, f"conic {k} has a non-finite entry")
         if arr.shape != (3, 3):
             raise CliError(EXIT_INPUT, f"conic {k} is not 3x3: shape {arr.shape}")
         if float(np.abs(arr - arr.T).max()) > 1e-12 * max(float(np.abs(arr).max()), 1e-300):

@@ -21,7 +21,6 @@ from numrange.linalg import (
     batched_eigh,
     batched_eigvalsh,
     eig_hermitian,
-    jacobi_eigh,
 )
 from numrange.poly import charpoly
 from numrange.ranges import (
@@ -32,6 +31,7 @@ from numrange.ranges import (
 )
 
 from conftest import random_hermitian, random_pencil
+from jacobi_reference import jacobi_eigh
 
 GRID_SIZES = {2: 48, 3: 60}
 

@@ -13,7 +13,6 @@ from numrange.linalg import (
     MatrixPencil,
     NonHermitianInput,
     eig_hermitian,
-    jacobi_eigh,
     pairing,
     parse_rational,
     pencil_from_json,
@@ -26,6 +25,7 @@ from numrange.poly import MultiPoly, hyperbolicity_check
 from numrange.ranges import direction_grid
 
 from conftest import random_hermitian, random_pencil
+from jacobi_reference import jacobi_eigh
 
 
 class TestGaussianRational:
