@@ -33,7 +33,7 @@ def main() -> None:
         grid = direction_grid(pencil.n, args.grid)
         cloud = trace_boundary_cloud(pencil, grid)
         patches = degenerate_patches(pencil, cloud)
-        if patches.records:
+        if len(patches):
             cloud = merge_boundary_clouds(cloud, patches)
         path = args.out_dir / f"{name}.csv"
         path.write_text(cloud_to_csv(cloud, {"builtin": name, "grid": args.grid}))
@@ -41,7 +41,7 @@ def main() -> None:
         radii = np.linalg.norm(pts, axis=1)
         print(
             f"{name:16s} d={pencil.d} n={pencil.n} "
-            f"records={len(cloud.records)} patched={len(patches.records)} "
+            f"records={len(cloud)} patched={len(patches)} "
             f"|y| in [{radii.min():.3f}, {radii.max():.3f}] -> {path}"
         )
 

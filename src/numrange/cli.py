@@ -171,22 +171,6 @@ def _parse_json(text: str) -> dict:
         raise CliError(EXIT_PARSE, f"malformed JSON: {exc}") from exc
 
 
-def _name_hermitian_offender(doc: dict) -> str:
-    # reparse block by block so the error can point at the culprit
-    for k, m in enumerate(doc.get("matrices", [])):
-        try:
-            arr = np.array(
-                [[complex(float(e[0]), float(e[1])) for e in row] for row in m]
-            )
-        except (TypeError, ValueError, IndexError):
-            continue
-        dev = np.abs(arr - arr.conj().T)
-        if dev.size and dev.max() > 1e-12 * max(float(np.abs(arr).max()), 1e-300):
-            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-            return f"matrix {k}, entry ({i},{j})"
-    return "unlocated entry"
-
-
 def _resolve_pencil(config: RunConfig) -> MatrixPencil:
     if config.builtin is not None:
         if config.builtin == FOUR_ELLIPSES:
@@ -207,11 +191,6 @@ def _resolve_pencil(config: RunConfig) -> MatrixPencil:
 def _pencil_document(doc: dict) -> MatrixPencil:
     try:
         return pencil_from_json(doc)
-    except NonHermitianInput as exc:
-        raise CliError(
-            EXIT_INPUT,
-            f"non-Hermitian input at {_name_hermitian_offender(doc)}: {exc}",
-        ) from exc
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"malformed pencil document: {exc}") from exc
 
@@ -290,13 +269,13 @@ def cmd_trace(config: RunConfig) -> int:
             "header": _header(config, {}),
             "skipped": cloud.skipped,
             "rows": [
-                {
-                    "direction": list(r.direction),
-                    "branch": r.branch,
-                    "point": list(r.point),
-                    "simple": r.simple,
-                }
-                for r in cloud.records
+                {"direction": u, "branch": b, "point": y, "simple": s}
+                for u, b, y, s in zip(
+                    cloud.directions.tolist(),
+                    cloud.branch.tolist(),
+                    cloud.coords.tolist(),
+                    cloud.simple.tolist(),
+                )
             ],
         }
         _emit(config, _json_text(doc))
@@ -307,12 +286,9 @@ def cmd_trace(config: RunConfig) -> int:
 
 def _trace_svg(cloud) -> str:
     canvas = SvgCanvas()
-    branches: dict = {}
-    for r in cloud.records:
-        branches.setdefault(r.branch, []).append(r.point)
     palette = ("#1f6feb", "#d29922", "#3fb950", "#f85149", "#bc8cff", "#39c5cf")
-    for b in sorted(branches):
-        canvas.polyline(branches[b], stroke=palette[b % len(palette)])
+    for b in np.unique(cloud.branch).tolist():
+        canvas.polyline(cloud.coords[cloud.branch == b], stroke=palette[b % len(palette)])
     hull = convex_hull_2d(cloud.points())
     if not hull.flat:
         canvas.polygon(hull.vertices, stroke="#8b949e")
@@ -403,7 +379,7 @@ def cmd_central(config: RunConfig) -> int:
     grid = direction_grid(pencil.n, config.trace_grid, rng)
     cloud = trace_boundary_cloud(pencil, grid)
     patches = degenerate_patches(pencil, cloud)
-    if patches.records:
+    if len(patches):
         cloud = merge_boundary_clouds(cloud, patches)
     radius = config.tol
     if radius is None and config.builtin == CHIEN_NAKAZATO:
@@ -424,7 +400,7 @@ def cmd_central(config: RunConfig) -> int:
         rows.append(row)
     doc = {
         "header": _header(config, {"probe_radius": radius}),
-        "patch_records": len(patches.records),
+        "patch_records": len(patches),
         "candidates": rows,
     }
     echo = ", ".join(

@@ -268,9 +268,9 @@ def dual_evaluation_points(
     gen = as_rng(rng)
     points = [np.asarray(spec.e, dtype=float)]
     if spec.pencil is not None:
-        if cloud is None or not cloud.records:
+        if cloud is None or not len(cloud):
             raise EmptyCloud("spectrahedral dual membership needs a traced cloud")
-        dirs = {r.direction for r in cloud.records}
+        dirs = set(map(tuple, cloud.directions.tolist()))
         points += _pencil_boundary_points(spec.pencil, sorted(dirs))
         if states > 0:
             extra = gen.standard_normal((states, spec.pencil.n))

@@ -37,7 +37,7 @@ SAMPLE_RESIDUAL_TOL = 1e-10
 # root, leaving gradients of ~1e-8 * scale there; the floor must sit
 # clearly above that stall level or non-reduced inputs leak through.
 GRADIENT_FLOOR = 1e-6
-NULLSPACE_RATIO = 1e-8
+NULLSPACE_RATIO = 1e-11
 FIT_RESIDUAL_TOL = 1e-6
 TRIAL_FACTOR = 100
 # damped Newton along a sampling line: steps, and halvings per step
@@ -361,7 +361,7 @@ def dual_fit(f: MultiPoly, max_degree: int, rng=None, samples: int | None = None
     Tangent functionals are collected at sampled regular points, and for
     each degree from 1 up the nullspace of the monomial-evaluation
     matrix is examined.  The first degree whose smallest singular value
-    drops below 1e-8 of the largest, and whose form also vanishes on a
+    drops below 1e-11 of the largest, and whose form also vanishes on a
     held-out batch of functionals to RMS 1e-6, wins.  Ascending order
     protects against picking up a multiple of the true form at a higher
     degree.

@@ -181,8 +181,10 @@ class HermitianMatrix:
             fro = float(np.linalg.norm(a))
             asym = float(np.linalg.norm(a - a.conj().T))
             if asym > HERMITIAN_CONSTRUCT_TOL * max(fro, 1e-300):
+                i, j = np.unravel_index(int(np.abs(a - a.conj().T).argmax()), a.shape)
                 raise NonHermitianInput(
-                    f"asymmetry {asym:.3e} exceeds {HERMITIAN_CONSTRUCT_TOL:g} * |A|"
+                    f"asymmetry {asym:.3e} exceeds {HERMITIAN_CONSTRUCT_TOL:g} * |A|, "
+                    f"worst at entry ({i},{j})"
                 )
             a = a.copy()
             a.flags.writeable = False
@@ -546,22 +548,24 @@ def pencil_from_json(text) -> MatrixPencil:
                             raise ValueError(f"entry part {part!r} is not finite")
                         exact = exact and part == int(part)
     out = []
-    for m in mats:
+    for k, m in enumerate(mats):
         if exact:
-            rows = [
+            data = [
                 [
                     GaussianRational(parse_rational(e[0]), parse_rational(e[1]))
                     for e in row
                 ]
                 for row in m
             ]
-            out.append(HermitianMatrix(rows, EXACT))
         else:
             try:
-                arr = np.array(
+                data = np.array(
                     [[complex(float(e[0]), float(e[1])) for e in row] for row in m]
                 )
             except OverflowError as exc:
                 raise ValueError(f"entry out of float range: {exc}") from exc
-            out.append(HermitianMatrix(arr, FLOAT))
+        try:
+            out.append(HermitianMatrix(data, EXACT if exact else FLOAT))
+        except NonHermitianInput as exc:
+            raise NonHermitianInput(f"matrix {k}: {exc}") from exc
     return MatrixPencil(out)

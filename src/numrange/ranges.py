@@ -148,24 +148,42 @@ class CloudRecord:
 
 @dataclass(frozen=True)
 class BoundaryCloud:
-    """All contacts produced by sweeping a grid, plus the skip count."""
+    """All contacts produced by sweeping a grid, plus the skip count.
+
+    Row i of the columns is one contact: point coords[i], its direction
+    directions[i], branch[i], eigenvalue[i] and simple[i].  `records`
+    builds CloudRecord rows from them on every access.
+    """
 
     n: int
-    records: tuple
+    coords: np.ndarray
+    directions: np.ndarray
+    branch: np.ndarray
+    eigenvalue: np.ndarray
+    simple: np.ndarray
     grid: DirectionGrid
     skipped: int
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.coords)
 
     def points(self) -> np.ndarray:
-        if not self.records:
+        if not len(self):
             raise EmptyCloud("no boundary contacts recorded")
-        cached = getattr(self, "_points_cache", None)
-        if cached is None:
-            cached = np.array([r.point for r in self.records], dtype=float)
-            object.__setattr__(self, "_points_cache", cached)
-        return cached
+        return self.coords
+
+    @property
+    def records(self) -> tuple:
+        # point and direction tuples zipped from the coordinate columns
+        points, directions = (zip(*c.T.tolist()) for c in (self.coords, self.directions))
+        rest = (c.tolist() for c in (self.branch, self.eigenvalue, self.simple))
+        return tuple(map(CloudRecord, points, directions, *rest))
+
+
+def _stack_cloud(n: int, grid: DirectionGrid, skipped: int, blocks) -> BoundaryCloud:
+    """One cloud from blocks of its five columns, in order."""
+    empty = (np.empty((0, n)),) * 2 + (np.empty(0, np.int64), np.empty(0), np.empty(0, bool))
+    return BoundaryCloud(n, *(np.concatenate(c) for c in zip(empty, *blocks)), grid, skipped)
 
 
 def trace_boundary_cloud(
@@ -184,7 +202,7 @@ def trace_boundary_cloud(
         raise RangeError(f"grid lives in R^{grid.n}, family in R^{pencil.n}")
     stack = pencil.stack()
     group_tol = MULTIPLICITY_TOL * (1.0 + pencil.norm())
-    records = []
+    blocks = []
     skipped = 0
     for start, values, vectors in batched_eigh(stack, grid.directions):
         # contacts[c, j, k] = <psi, A_k psi> for eigenvector column j of
@@ -201,32 +219,16 @@ def trace_boundary_cloud(
             skipped += int(simple.size - np.count_nonzero(simple))
         rows, cols = np.nonzero(first if include_degenerate else simple)
         branch = np.cumsum(first, axis=1) - 1
-        directions = [tuple(u) for u in grid.directions[start : start + len(values)].tolist()]
-        for c, point, br, lam, sim in zip(
-            rows.tolist(),
-            contacts[rows, cols].tolist(),
-            branch[rows, cols].tolist(),
-            values[rows, cols].tolist(),
-            simple[rows, cols].tolist(),
-        ):
-            records.append(
-                CloudRecord(
-                    point=tuple(point),
-                    direction=directions[c],
-                    branch=br,
-                    eigenvalue=lam,
-                    simple=sim,
-                )
-            )
-    return BoundaryCloud(n=pencil.n, records=tuple(records), grid=grid, skipped=skipped)
+        y, br, lam, sim = (x[rows, cols] for x in (contacts, branch, values, simple))
+        blocks.append((y, grid.directions[start + rows], br, lam, sim))
+    return _stack_cloud(pencil.n, grid, skipped, blocks)
 
 
 def merge_boundary_clouds(a: BoundaryCloud, b: BoundaryCloud) -> BoundaryCloud:
     if a.n != b.n:
         raise RangeError("clouds live in different dimensions")
-    return BoundaryCloud(
-        n=a.n, records=a.records + b.records, grid=a.grid, skipped=a.skipped + b.skipped
-    )
+    blocks = [(c.coords, c.directions, c.branch, c.eigenvalue, c.simple) for c in (a, b)]
+    return _stack_cloud(a.n, a.grid, a.skipped + b.skipped, blocks)
 
 
 def _tangent_basis(u: np.ndarray) -> np.ndarray:
@@ -309,9 +311,10 @@ def _crossing_centers(stack: np.ndarray, directions, scale: float, max_patches: 
     return centers
 
 
-def _patch_records(stack: np.ndarray, uc: np.ndarray) -> list:
+def _patch_columns(stack: np.ndarray, uc: np.ndarray) -> tuple:
     """The expectation values of every mixture cos(t) psi1 + e^{i phi}
-    sin(t) psi2 of the closest pair at uc, over a (theta, phi) grid."""
+    sin(t) psi2 of the closest pair at uc, over a (theta, phi) grid, as
+    one block of cloud columns."""
     _, lo, lam, blocks = _closest_pairs(stack, uc[None])
     a = blocks[0, :, 0, 0].real
     b = blocks[0, :, 1, 1].real
@@ -322,15 +325,14 @@ def _patch_records(stack: np.ndarray, uc: np.ndarray) -> list:
     points = (np.cos(theta) ** 2 * a + np.sin(theta) ** 2 * b) + (
         2.0 * (np.cos(theta) * np.sin(theta)) * mix
     )
-    direction = tuple(uc.tolist())
-    branch, eigenvalue = int(lo[0]), float(lam[0])
-    # point tuples zipped from the coordinate columns: no list per row
-    return [
-        CloudRecord(
-            point=p, direction=direction, branch=branch, eigenvalue=eigenvalue, simple=False
-        )
-        for p in zip(*points.reshape(-1, len(a)).T.tolist())
-    ]
+    count = PATCH_THETA_SAMPLES * PATCH_PHI_SAMPLES
+    return (
+        points.reshape(count, len(a)),
+        np.tile(uc, (count, 1)),
+        np.full(count, lo[0]),
+        np.full(count, lam[0]),
+        np.zeros(count, dtype=bool),
+    )
 
 
 def degenerate_patches(
@@ -352,18 +354,18 @@ def degenerate_patches(
     end point whose gap is at most the certification gap is a crossing;
     crossings closer than 0.01 to an earlier one are dropped.  Each
     crossing emits the mixed-eigenvector sweep over PATCH_THETA_SAMPLES x
-    PATCH_PHI_SAMPLES angles as simple=False records.  A pencil of 1x1
+    PATCH_PHI_SAMPLES angles as simple=False contacts.  A pencil of 1x1
     matrices has no adjacent branches and no patches, and a single
     matrix has no direction to move along: its range is the segment its
     traced contacts already span.
     """
-    records = []
+    blocks = []
     if pencil.d >= 2 and pencil.n >= 2:
         stack = pencil.stack()
         scale = 1.0 + pencil.norm()
         for uc in _crossing_centers(stack, cloud.grid.directions, scale, max_patches):
-            records += _patch_records(stack, uc)
-    return BoundaryCloud(n=pencil.n, records=tuple(records), grid=cloud.grid, skipped=0)
+            blocks.append(_patch_columns(stack, uc))
+    return _stack_cloud(pencil.n, cloud.grid, 0, blocks)
 
 
 @dataclass(frozen=True)
@@ -449,11 +451,11 @@ def verify_main_theorem(
     """Compare hull support of the traced cloud with the true support.
 
     The gap lambda_max(M(u)) - hull_support(u) must be nonnegative up to
-    1e-9 roundoff (the cloud never sticks out) and at most tol (the
-    cloud fills the range).  Default tol scales with the mesh of the
-    trace grid and the family norm.  Above n=3 there is no hull support;
-    pass advisory=True to fall back to the raw cloud maximum, reported
-    as advisory rather than certified.
+    1e-9 * (1 + |pencil|) roundoff (the cloud never sticks out) and at
+    most tol (the cloud fills the range).  Default tol scales with the
+    mesh of the trace grid and the family norm.  Above n=3 there is no
+    hull support; pass advisory=True to fall back to the raw cloud
+    maximum, reported as advisory rather than certified.
     """
     n = pencil.n
     if n < 2:
@@ -480,7 +482,7 @@ def verify_main_theorem(
             argmax = u
         if gap < min_gap:
             min_gap = gap
-    ok = min_gap >= -GAP_LOWER_SLACK and max_gap <= tol
+    ok = min_gap >= -GAP_LOWER_SLACK * (1.0 + pencil.norm()) and max_gap <= tol
     return VerifyReport(
         n=n,
         max_gap=float(max_gap),
@@ -545,10 +547,7 @@ def cloud_to_csv(cloud: BoundaryCloud, metadata: dict | None = None) -> str:
     n = cloud.n
     header = [f"u{k + 1}" for k in range(n)] + ["branch"] + [f"y{k + 1}" for k in range(n)] + ["simple"]
     writer.writerow(header)
-    for r in cloud.records:
-        row = [f"{x:.17g}" for x in r.direction]
-        row.append(str(r.branch))
-        row += [f"{x:.17g}" for x in r.point]
-        row.append("1" if r.simple else "0")
-        writer.writerow(row)
+    columns = (cloud.directions, cloud.branch, cloud.coords, cloud.simple)
+    for u, b, y, s in zip(*(c.tolist() for c in columns)):
+        writer.writerow([f"{x:.17g}" for x in u] + [str(b)] + [f"{x:.17g}" for x in y] + [str(int(s))])
     return buf.getvalue()
