@@ -265,23 +265,38 @@ def cmd_trace(config: RunConfig) -> int:
         _emit(config, _trace_svg(cloud))
         return EXIT_OK
     if config.fmt == "json":
-        doc = {
-            "header": _header(config, {}),
-            "skipped": cloud.skipped,
-            "rows": [
-                {"direction": u, "branch": b, "point": y, "simple": s}
-                for u, b, y, s in zip(
-                    cloud.directions.tolist(),
-                    cloud.branch.tolist(),
-                    cloud.coords.tolist(),
-                    cloud.simple.tolist(),
-                )
-            ],
-        }
-        _emit(config, _json_text(doc))
+        doc = {"header": _header(config, {}), "rows": [], "skipped": cloud.skipped}
+        # a newline and two spaces open only the document's own keys, so
+        # this finds "rows" and nothing inside the header
+        text = _json_text(doc).replace('\n  "rows": []', '\n  "rows": ' + _rows_json(cloud), 1)
+        _emit(config, text)
         return EXIT_OK
     _emit(config, cloud_to_csv(cloud, meta))
     return EXIT_OK
+
+
+def _rows_json(cloud) -> str:
+    """The cloud's rows, one object per contact, spelled as
+    json.dumps(indent=2, sort_keys=True) spells them one level down.
+
+    The numbers come from json's own encoder, one call for all of them;
+    one row template, repeated and filled by a single %, lays them out.
+    """
+    count, n = len(cloud), cloud.n
+    if not count:
+        return "[]"
+    number = ",\n".join(["        %s"] * n)
+    row = (
+        '    {\n      "branch": %s,\n      "direction": [\n' + number
+        + '\n      ],\n      "point": [\n' + number
+        + '\n      ],\n      "simple": %s\n    }'
+    )
+    cells = np.empty((count, 2 * n + 2), dtype=object)
+    cells[:, 0] = cloud.branch.tolist()
+    floats = json.dumps(np.hstack([cloud.directions, cloud.coords]).ravel().tolist())
+    cells[:, 1:-1] = np.array(floats[1:-1].split(", "), dtype=object).reshape(count, 2 * n)
+    cells[:, -1] = np.where(cloud.simple, "true", "false").tolist()
+    return "[\n" + ",\n".join([row] * count) % tuple(cells.ravel().tolist()) + "\n  ]"
 
 
 def _trace_svg(cloud) -> str:

@@ -270,8 +270,11 @@ def dual_evaluation_points(
     if spec.pencil is not None:
         if cloud is None or not len(cloud):
             raise EmptyCloud("spectrahedral dual membership needs a traced cloud")
-        dirs = set(map(tuple, cloud.directions.tolist()))
-        points += _pencil_boundary_points(spec.pencil, sorted(dirs))
+        # the trace emits a direction's rows together, so dropping each row
+        # equal to the one before leaves the set far fewer tuples to hash
+        d = cloud.directions
+        d = d[np.r_[True, np.any(d[1:] != d[:-1], axis=1)]]
+        points += _pencil_boundary_points(spec.pencil, sorted(set(map(tuple, d.tolist()))))
         if states > 0:
             extra = gen.standard_normal((states, spec.pencil.n))
             norms = np.linalg.norm(extra, axis=1)

@@ -10,8 +10,6 @@ u -> lambda_max(M(u)) on an independent test grid.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -401,7 +399,12 @@ def tangency_residual(record: CloudRecord) -> float:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of the hull-versus-support comparison."""
+    """Outcome of the hull-versus-support comparison.
+
+    The traced cloud includes degenerate branches, one contact per
+    repeated eigenvalue group from an arbitrary vector of its
+    eigenspace; `skipped` counts those simple=False contacts.
+    """
 
     n: int
     max_gap: float
@@ -455,7 +458,9 @@ def verify_main_theorem(
     most tol (the cloud fills the range).  Default tol scales with the
     mesh of the trace grid and the family norm.  Above n=3 there is no
     hull support; pass advisory=True to fall back to the raw cloud
-    maximum, reported as advisory rather than certified.
+    maximum, reported as advisory rather than certified.  Repeated
+    eigenvalues are traced too (include_degenerate=True), so a pencil
+    whose branches all cross, down to a scalar one, still has a cloud.
     """
     n = pencil.n
     if n < 2:
@@ -464,7 +469,7 @@ def verify_main_theorem(
         raise UnsupportedDimension(
             f"no certified hull in n={n}; rerun with advisory=True for a cloud-based gap"
         )
-    cloud = trace_boundary_cloud(pencil, trace_grid)
+    cloud = trace_boundary_cloud(pencil, trace_grid, include_degenerate=True)
     pts = cloud.points()
     use_hull = n <= 3
     hull = cloud_hull(cloud) if use_hull else None
@@ -491,7 +496,7 @@ def verify_main_theorem(
         grid_sizes={"trace": len(trace_grid), "test": len(test_grid)},
         tol=float(tol),
         verdict="pass" if ok else "fail",
-        skipped=cloud.skipped,
+        skipped=int(np.count_nonzero(~cloud.simple)),
         advisory=not use_hull,
     )
 
@@ -537,17 +542,17 @@ def cloud_to_csv(cloud: BoundaryCloud, metadata: dict | None = None) -> str:
     """CSV dump: direction columns, branch, point columns, simple flag.
 
     Metadata rides along in '#'-prefixed header lines so the file stays
-    loadable by ordinary CSV readers that skip comments.
+    loadable by ordinary CSV readers that skip comments.  The rows are
+    one row template repeated and filled by a single % from the columns:
+    '%.17g' spells every float as f"{x:.17g}" does, and no field ever
+    needs CSV quoting.
     """
-    buf = io.StringIO()
-    if metadata:
-        for key in sorted(metadata):
-            buf.write(f"# {key}: {metadata[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
     n = cloud.n
+    comments = [f"# {key}: {metadata[key]}\n" for key in sorted(metadata or {})]
     header = [f"u{k + 1}" for k in range(n)] + ["branch"] + [f"y{k + 1}" for k in range(n)] + ["simple"]
-    writer.writerow(header)
-    columns = (cloud.directions, cloud.branch, cloud.coords, cloud.simple)
-    for u, b, y, s in zip(*(c.tolist() for c in columns)):
-        writer.writerow([f"{x:.17g}" for x in u] + [str(b)] + [f"{x:.17g}" for x in y] + [str(int(s))])
-    return buf.getvalue()
+    row = ",".join(["%.17g"] * n + ["%d"] + ["%.17g"] * n + ["%d"]) + "\n"
+    # branch and simple are small integers, exact as floats, so one float
+    # array holds every row's values in order
+    columns = (cloud.directions, cloud.branch[:, None], cloud.coords, cloud.simple[:, None])
+    values = np.hstack(columns, dtype=float).ravel().tolist()
+    return "".join(comments) + ",".join(header) + "\n" + (row * len(cloud)) % tuple(values)

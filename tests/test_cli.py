@@ -5,7 +5,7 @@ import pytest
 
 from numrange.cli import main
 from numrange.dual import SymmetricForm, form_to_poly, quadric_dual
-from numrange.linalg import pencil_to_json
+from numrange.linalg import HermitianMatrix, MatrixPencil, pencil_to_json
 from numrange.poly import poly_to_json
 
 from conftest import random_pencil
@@ -156,6 +156,29 @@ class TestVerify:
             capsys, "verify", "--builtin", "drop", "--trace-grid", "8"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "diagonals",
+        [
+            # the range is the segment from (1, 0) to (2, 1)
+            ([1.0, 1.0, 2.0], [0.0, 0.0, 1.0]),
+            # a scalar pencil: the range is the point (1, 0)
+            ([1.0, 1.0], [0.0, 0.0]),
+        ],
+        ids=["segment", "scalar"],
+    )
+    def test_degenerate_branches_are_contacts(self, capsys, tmp_path, diagonals):
+        # every direction has a repeated eigenvalue; its eigenspace's
+        # contacts span the range, so the verdict is a pass
+        p = tmp_path / "pencil.json"
+        p.write_text(pencil_to_json(MatrixPencil([HermitianMatrix(np.diag(v)) for v in diagonals])))
+        code, out, _ = run(capsys, "verify", "--input", str(p))
+        assert code == 0
+        doc = json.loads(out[: out.rfind("}") + 1])
+        assert doc["verdict"] == "pass"
+        assert abs(doc["max_gap"]) <= 1e-12 and abs(doc["min_gap"]) <= 1e-12
+        # one simple=False contact per direction
+        assert doc["skipped"] == doc["grid_sizes"]["trace"]
 
     def test_four_matrices_need_advisory(self, capsys, tmp_path):
         pencil = random_pencil(2, 4, np.random.default_rng(1))

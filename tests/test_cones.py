@@ -21,9 +21,9 @@ from numrange.cones import (
     normal_ray,
     sample_cone_boundary,
 )
-from numrange.linalg import HermitianMatrix, MatrixPencil
+from numrange.linalg import HermitianMatrix, MatrixPencil, batched_eigvalsh
 from numrange.poly import MultiPoly, charpoly
-from numrange.ranges import degenerate_patches, direction_grid, trace_boundary_cloud
+from numrange.ranges import BoundaryCloud, degenerate_patches, direction_grid, trace_boundary_cloud
 
 
 def lorentz_form() -> MultiPoly:
@@ -181,6 +181,32 @@ class TestDualMembership:
         fp = functional_point((2.0, 1.0, -4.0))
         assert fp.chart_point == (0.5, -2.0)
         assert functional_point((0.0, 1.0, 0.0)).chart_point is None
+
+
+class TestEvaluationPoints:
+    @staticmethod
+    def _reference(spec, cloud):
+        # every contact's direction through a set of tuples, sorted
+        dirs = np.array(sorted(set(map(tuple, cloud.directions.tolist()))))
+        h = batched_eigvalsh(spec.pencil.stack(), dirs)[:, -1]
+        return np.vstack([spec.e, np.column_stack([h, -dirs])])
+
+    def test_distinct_directions_match_the_set(self, cn_spec, cn_pencil, cn_patched_cloud):
+        traced = trace_boundary_cloud(cn_pencil, direction_grid(3, 500))
+        shuffled = np.random.default_rng(11).permutation(traced.directions)
+        # a zero entry with both signs, where the set keeps the sign it saw first
+        zero = np.array([[0.0, 0.6, 0.8], [-0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [-0.0, 0.6, 0.8]])
+        signed = np.vstack([zero, traced.directions[:5], zero[::-1]])
+        clouds = [traced, cn_patched_cloud]
+        for dirs in (shuffled, signed):
+            count = len(dirs)
+            flags = (np.zeros(count, np.int64), np.zeros(count), np.ones(count, bool))
+            clouds.append(BoundaryCloud(3, dirs, dirs, *flags, traced.grid, 0))
+        for cloud in clouds:
+            got = dual_evaluation_points(cn_spec, cloud=cloud, states=0)
+            want = self._reference(cn_spec, cloud)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestGeneration:

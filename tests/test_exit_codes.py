@@ -53,11 +53,12 @@ class TestLibraryErrorTable:
         assert_one_error_line(err)
         assert "DimensionMismatch" in err
 
-    def test_verify_on_scalar_pencil_is_unsupported(self):
-        # A1 = I, A2 = 0: the range is one point and traces no contacts
+    def test_trace_svg_on_scalar_pencil_is_unsupported(self):
+        # A1 = I, A2 = 0: the range is one point, and the SVG's trace
+        # skips its only, degenerate, branch
         code, err = run_document(
             {"d": 2, "n": 2, "matrices": [I2, Z2]},
-            "verify", "--trace-grid", "64", "--test-grid", "32",
+            "trace", "--trace-grid", "64", "--format", "svg",
         )
         assert code == 5
         assert_one_error_line(err)
