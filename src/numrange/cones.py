@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from numrange.linalg import MatrixPencil, as_rng, batched_eigvalsh
+from numrange.linalg import EXACT, MatrixPencil, as_rng, batched_eigvalsh
 from numrange.poly import (
     HyperbolicityCertificate,
     MultiPoly,
+    batched_evaluate,
     batched_roots,
     charpoly,
-    evaluate,
     gradient,
     hyperbolicity_check,
     restrict_to_line,
@@ -71,7 +71,8 @@ def make_cone_spec(
 
     When the pencil is supplied, f must be its characteristic polynomial
     (checked exactly in the rational domain, else at 20 fixed sample
-    points within 1e-9 relative) and e the distinguished first axis.
+    points against LAPACK determinants of the pencil) and e the
+    distinguished first axis.
     """
     e = tuple(float(v) for v in e)
     cert = hyperbolicity_check(f, e, trials=trials, rng=rng)
@@ -90,21 +91,30 @@ def make_cone_spec(
 
 
 def _check_pencil_match(f: MultiPoly, pencil: MatrixPencil):
-    p = charpoly(pencil)
-    if f.domain == p.domain == "exact":
-        if f != p:
+    """Raise ConeError unless f is det(x0 I + sum x_i A_i).
+
+    Exact f and pencil must expand to the same polynomial.  Otherwise f
+    is evaluated at 20 fixed points x in [-1, 1]^(n+1) and compared with
+    LAPACK determinants of the pencil there, within PENCIL_MATCH_TOL *
+    scale * (1 + max|x|)^deg, scale f's largest coefficient; the
+    determinants share no code with the expansion.
+    """
+    if f.domain == pencil.domain == EXACT:
+        if f != charpoly(pencil):
             raise ConeError("polynomial is not the pencil's characteristic polynomial")
         return
-    ff, pf = f.to_float(), p.to_float()
-    gen = np.random.default_rng(1234)
-    scale = max(ff.coeff_scale(), pf.coeff_scale(), 1e-300)
-    for _ in range(20):
-        x = list(gen.uniform(-1.0, 1.0, ff.nvars))
-        a, b = evaluate(ff, x), evaluate(pf, x)
-        if abs(a - b) > PENCIL_MATCH_TOL * scale * (1.0 + max(abs(v) for v in x)) ** ff.degree:
-            raise ConeError(
-                f"polynomial disagrees with the pencil's charpoly at {x}: {a} vs {b}"
-            )
+    ff = f.to_float()
+    pts = np.random.default_rng(1234).uniform(-1.0, 1.0, (20, ff.nvars))
+    values = batched_evaluate(ff, pts)
+    dets = np.linalg.det(np.tensordot(pts, _homogenised_stack(pencil), axes=1)).real
+    bound = PENCIL_MATCH_TOL * max(ff.coeff_scale(), 1e-300) * (1.0 + np.abs(pts).max(axis=1)) ** ff.degree
+    bad = np.flatnonzero(np.abs(values - dets) > bound)
+    if len(bad):
+        k = bad[0]
+        raise ConeError(
+            f"polynomial disagrees with the pencil's determinant at {list(pts[k])}: "
+            f"{values[k]} vs {dets[k]}"
+        )
 
 
 @dataclass(frozen=True)

@@ -151,25 +151,6 @@ def quadric_dual(form: SymmetricForm, integerize: bool = True) -> SymmetricForm:
     return SymmetricForm.from_rows(inv, FLOAT)
 
 
-def form_to_poly(form: SymmetricForm) -> MultiPoly:
-    """The quadratic form as a homogeneous degree-2 polynomial."""
-    terms = {}
-    m = form.entries
-    exact = form.domain == EXACT
-    for i in range(form.dim):
-        for j in range(i, form.dim):
-            c = m[i][j] if i == j else (m[i][j] + m[j][i])
-            if not exact:
-                c = float(c)
-            if c == 0:
-                continue
-            exp = [0] * form.dim
-            exp[i] += 1
-            exp[j] += 1
-            terms[tuple(exp)] = c
-    return MultiPoly(form.dim, 2, terms, EXACT if exact else FLOAT)
-
-
 def _poly_scales(f: MultiPoly):
     fl = f.to_float()
     return fl, fl.coeff_scale()

@@ -8,8 +8,6 @@ carry no claim beyond what the run itself produces.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from numrange.linalg import EXACT, GaussianRational, HermitianMatrix, MatrixPencil
@@ -112,20 +110,7 @@ def four_ellipses_conics(params=FOUR_ELLIPSES_DEFAULTS) -> list:
     return [ellipse_conic(*p) for p in params]
 
 
-# Exact ground truth used by the test suite, in one place.
-
-
-def chien_nakazato_cubic_terms() -> dict:
-    """Integer coefficients of the degree-3 characteristic form."""
-    return {
-        (3, 0, 0, 0): Fraction(1),
-        (2, 0, 0, 1): Fraction(1),
-        (1, 2, 0, 0): Fraction(-2),
-        (1, 0, 2, 0): Fraction(-1),
-        (0, 3, 0, 0): Fraction(-1),
-        (0, 2, 0, 1): Fraction(-1),
-        (0, 1, 2, 0): Fraction(1),
-    }
+# Exact ground truth of the chien-nakazato dual surface.
 
 
 def chien_nakazato_quartic_terms() -> dict:

@@ -487,31 +487,7 @@ def sample_mixed_state(d: int, rng=None) -> DensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# pencil serialization
-
-
-def _entry_to_json(v, domain: str):
-    if domain == EXACT:
-        return [rational_str(v.re), rational_str(v.im)]
-    return [float(v.real), float(v.imag)]
-
-
-def pencil_to_json(pencil: MatrixPencil) -> str:
-    """Serialize a pencil: {"d":., "n":., "matrices":[ d x d x [re, im] ]}."""
-    mats = []
-    for m in pencil.matrices:
-        if pencil.domain == EXACT:
-            rows = [
-                [_entry_to_json(v, EXACT) for v in row] for row in m.data
-            ]
-        else:
-            rows = [
-                [_entry_to_json(m.data[j, k], FLOAT) for k in range(pencil.d)]
-                for j in range(pencil.d)
-            ]
-        mats.append(rows)
-    doc = {"d": pencil.d, "n": pencil.n, "matrices": mats}
-    return json.dumps(doc, sort_keys=True)
+# pencil parsing
 
 
 def pencil_from_json(text) -> MatrixPencil:

@@ -69,9 +69,10 @@ class MultiPoly:
     polynomial keeps its nominal degree with an empty term map.
     """
 
-    # _float caches an exact polynomial's to_float(), _float_form a float
-    # polynomial's compiled arrays (see _float_form); both are set once
-    __slots__ = ("nvars", "degree", "terms", "domain", "_float", "_float_form")
+    # _float caches an exact polynomial's to_float(); _float_form and
+    # _taylor hold a float polynomial's compiled arrays (see _float_form
+    # and _taylor_table); each is set once
+    __slots__ = ("nvars", "degree", "terms", "domain", "_float", "_float_form", "_taylor")
 
     def __init__(self, nvars: int, degree: int, terms: dict, domain: str):
         clean = {}
@@ -96,6 +97,7 @@ class MultiPoly:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_float", None)
         object.__setattr__(self, "_float_form", None)
+        object.__setattr__(self, "_taylor", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -631,7 +633,8 @@ def hyperbolicity_check(
 
 
 def _taylor_shift(f: MultiPoly, x):
-    """Terms of y -> f(x + y) grouped as {exponent: coefficient}."""
+    """Terms of y -> f(x + y) grouped as {exponent: coefficient}, expanded
+    term by term: the exact path of multiplicity_at."""
     shifted = {}
     for exp, c in f.terms.items():
         # expand prod_j (x_j + y_j)^(e_j)
@@ -653,42 +656,128 @@ def _taylor_shift(f: MultiPoly, x):
     return shifted
 
 
+def _taylor_table(f: MultiPoly):
+    """(shift_exps, weights, k_index, k_exps, k_orders) of a float form.
+
+    One row per pair of a term exponent e and a sub-exponent k <= e, so
+    that f(x + y) is the sum over rows of weight * x^(e - k) * y^k:
+    shift_exps holds e - k, weights c_e * prod_j C(e_j, k_j), and k_index
+    the row of k in k_exps, the distinct sub-exponents, whose total
+    degrees |k| are k_orders.  Built on the first multiplicity call and
+    kept in f's own slot, apart from _float_form, which callers that
+    never ask for a multiplicity compile without it.
+    """
+    table = f._taylor
+    if table is None:
+        exps, coeffs = _float_form(f)[:2]
+        term = np.arange(len(exps))
+        ks = np.zeros((len(exps), 0), dtype=np.int64)
+        for j in range(f.nvars):
+            # each row splits into one row per k_j = 0..e_j
+            counts = exps[term, j] + 1
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            ks = np.column_stack([np.repeat(ks, counts, axis=0), np.arange(counts.sum()) - first])
+            term = np.repeat(term, counts)
+        top = f.degree + 1
+        binom = np.array([[math.comb(a, b) for b in range(top)] for a in range(top)], dtype=float)
+        weights = coeffs[term] * np.prod(binom[exps[term], ks], axis=1)
+        # number the distinct k: sort the rows, and a new k starts wherever
+        # a row differs from the one before
+        order = np.lexsort(ks.T[::-1])
+        new = np.ones(len(ks), dtype=bool)
+        new[1:] = (np.diff(ks[order], axis=0) != 0).any(axis=1)
+        k_index = np.empty(len(ks), dtype=np.int64)
+        k_index[order] = np.cumsum(new) - 1
+        k_exps = ks[order][new]
+        table = (exps[term] - ks, weights, k_index, k_exps, k_exps.sum(axis=1))
+        object.__setattr__(f, "_taylor", table)
+    return table
+
+
+def _grouped_sums(values, index, size: int) -> np.ndarray:
+    """Row-wise sums of an (m, R) array over the groups index (R,) assigns
+    in 0..size-1: shape (m, size), one bincount for all rows."""
+    m = len(values)
+    flat = (index + size * np.arange(m)[:, None]).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=m * size).reshape(m, size)
+
+
+def _taylor_coeffs(f: MultiPoly, points) -> np.ndarray:
+    """Coefficient of y^k in f(x + y), for each row x of a real (m, nvars)
+    array and each row k of the table's k_exps: shape (m, len(k_exps))."""
+    shift_exps, weights, k_index, k_exps, _ = _taylor_table(f)
+    values = monomial_values(points, shift_exps) * weights
+    return _grouped_sums(values, k_index, len(k_exps))
+
+
+def _unit_point(x) -> list:
+    """x / |x| as floats, or x itself at the origin."""
+    norm = math.sqrt(sum(float(v) ** 2 for v in x))
+    return [float(v) / norm for v in x] if norm > 0.0 else list(x)
+
+
+def _float_order(f: MultiPoly, shifted) -> int:
+    """The least |k| whose Taylor coefficient exceeds TAYLOR_ZERO_TOL
+    times the largest one."""
+    k_orders = _taylor_table(f)[4]
+    mag = np.abs(shifted)
+    big = mag > TAYLOR_ZERO_TOL * max(float(mag.max(initial=0.0)), 1e-300)
+    if not big.any():
+        raise NotOnVariety("all Taylor coefficients below tolerance")
+    order = int(k_orders[big].min())
+    if order == 0:
+        value = float(shifted[np.flatnonzero(k_orders == 0)[0]])
+        raise NotOnVariety(f"f(x) = {value:.3e} exceeds tolerance")
+    return order
+
+
 def multiplicity_at(f: MultiPoly, x) -> int:
     """Order of vanishing of f at x: the least total degree carrying a
     nonzero Taylor coefficient after recentering at x.
 
-    Float forms are tested at x / |x| (x = 0 as given): f is homogeneous,
-    so the order is the same along the ray, while the relative zero test
+    Float forms take real points and read their Taylor coefficients off
+    the form's Taylor table (_taylor_table), built on the first call.
+    They are tested at x / |x| (x = 0 as given): f is homogeneous, so
+    the order is the same along the ray, while the relative zero test
     would read the shrinking low-order coefficients near the origin as
-    zeros.
+    zeros.  Exact forms expand term by term in exact arithmetic.
     """
     x = list(x)
     if len(x) != f.nvars:
         raise ArityMismatch(f"point arity {len(x)} vs nvars {f.nvars}")
     if f.domain != EXACT:
-        norm = math.sqrt(sum(float(v) ** 2 for v in x))
-        if norm > 0.0:
-            x = [float(v) / norm for v in x]
+        return _float_order(f, _taylor_coeffs(f, np.array([_unit_point(x)], dtype=float))[0])
     shifted = _taylor_shift(f, x)
-    if f.domain == EXACT:
-        orders = sorted(sum(e) for e, c in shifted.items() if c != 0)
-        if not orders:
-            raise NotOnVariety("f is the zero polynomial")
-        if orders[0] == 0:
-            raise NotOnVariety(f"f(x) = {shifted[(0,) * f.nvars]} is not 0")
-        return orders[0]
-    scale = max((abs(float(c)) for c in shifted.values()), default=0.0)
-    tol = TAYLOR_ZERO_TOL * max(scale, 1e-300)
-    orders = sorted(
-        sum(e) for e, c in shifted.items() if abs(float(c)) > tol
-    )
+    orders = sorted(sum(e) for e, c in shifted.items() if c != 0)
     if not orders:
-        raise NotOnVariety("all Taylor coefficients below tolerance")
+        raise NotOnVariety("f is the zero polynomial")
     if orders[0] == 0:
-        raise NotOnVariety(
-            f"f(x) = {float(shifted[(0,) * f.nvars]):.3e} exceeds tolerance"
-        )
+        raise NotOnVariety(f"f(x) = {shifted[(0,) * f.nvars]} is not 0")
     return orders[0]
+
+
+def _float_lemma(f: MultiPoly, e, x) -> tuple:
+    """(order at x, restriction along e, restriction along e - x) of a
+    float form, from one table evaluation at x / |x| and at x.
+
+    f(x + t d) = sum_k s_k(x) d^k t^|k|, so the restriction's
+    coefficient of t^j sums s_k(x) d^k over |k| = j.  The restrictions
+    are taken at x as given, as restrict_to_line takes them.
+    """
+    if len(x) != f.nvars:
+        raise ArityMismatch(f"point arity {len(x)} vs nvars {f.nvars}")
+    x = np.array(x, dtype=float)
+    at_unit, at_x = _taylor_coeffs(f, np.array([_unit_point(x), x]))
+    order = _float_order(f, at_unit)
+    if len(e) != f.nvars:
+        raise ArityMismatch("base/dir arity mismatch")
+    e = np.array(e, dtype=float)
+    dirs = np.array([e, e - x])
+    if (dirs == 0).all(axis=1).any():
+        raise ValueError("direction must be nonzero")
+    k_exps, k_orders = _taylor_table(f)[3:]
+    lines = _grouped_sums(at_x * monomial_values(dirs, k_exps), k_orders, f.degree + 1)
+    return order, lines[0], lines[1]
 
 
 def _root_multiplicity_at_zero(coeffs, domain: str) -> int:
@@ -722,14 +811,21 @@ class MultiplicityReport:
 
 def check_multiplicity_lemma(f: MultiPoly, e, x) -> MultiplicityReport:
     """Compare the Taylor order at x with the t=0 root multiplicities of
-    f(x + t e) and f(x + t (e - x)); they must coincide for hyperbolic f."""
+    f(x + t e) and f(x + t (e - x)); they must coincide for hyperbolic f.
+
+    A float form reads all three from its Taylor table (_float_lemma),
+    with real e and x; an exact form expands the order and both
+    restrictions term by term (multiplicity_at, restrict_to_line).
+    """
     e = list(e)
     x = list(x)
-    m = multiplicity_at(f, x)
-    r1 = restrict_to_line(f, x, e)
+    if f.domain == EXACT:
+        m = multiplicity_at(f, x)
+        r1 = restrict_to_line(f, x, e)
+        r2 = restrict_to_line(f, x, [a - b for a, b in zip(e, x)])
+    else:
+        m, r1, r2 = _float_lemma(f, e, x)
     m1 = _root_multiplicity_at_zero(r1, f.domain)
-    emx = [a - b for a, b in zip(e, x)]
-    r2 = restrict_to_line(f, x, emx)
     m2 = _root_multiplicity_at_zero(r2, f.domain)
     return MultiplicityReport(m, m1, m2, m == m1 == m2)
 

@@ -5,7 +5,8 @@ columnar `BoundaryCloud`.
 per-crossing patch sweep that built one frozen `CloudRecord` per
 contact, before the cloud held its contacts as columns.  The CSV and
 JSON writers below turn such records into the `trace` subcommand's
-exports, row by row, as the exports did from the records.
+exports, row by row, as the exports did from the records, and
+`assert_same_text` compares two exports line by line.
 """
 
 import csv
@@ -126,3 +127,13 @@ def records_to_json(header: dict, skipped: int, records) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_text(got: str, want: str):
+    """got == want, line by line with their line ends: a failure names the
+    first line that differs, and never diffs two whole exports."""
+    got_lines = got.splitlines(keepends=True)
+    want_lines = want.splitlines(keepends=True)
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        assert a == b, f"line {number} differs: {a!r} != {b!r}"
+    assert len(got_lines) == len(want_lines), f"{len(got_lines)} lines, expected {len(want_lines)}"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from numrange.cli import main
-from numrange.dual import SymmetricForm, form_to_poly, quadric_dual
-from numrange.linalg import HermitianMatrix, MatrixPencil, pencil_to_json
+from numrange.dual import SymmetricForm, quadric_dual
+from numrange.linalg import HermitianMatrix, MatrixPencil
 from numrange.poly import poly_to_json
 
 from conftest import random_pencil
+from support import form_to_poly, pencil_to_json
 
 
 def run(capsys, *args):

@@ -23,7 +23,13 @@ from numrange.ranges import (
     trace_boundary_cloud,
 )
 
-from cloud_reference import patch_records, records_to_csv, records_to_json, trace_records
+from cloud_reference import (
+    assert_same_text,
+    patch_records,
+    records_to_csv,
+    records_to_json,
+    trace_records,
+)
 from conftest import random_pencil
 
 PENCILS = [name for name in BUILTIN_NAMES if name != FOUR_ELLIPSES]
@@ -150,6 +156,6 @@ def test_trace_exports_match_reference(name, tmp_path, capsys):
         "skipped": skipped,
         "numrange": __version__,
     }
-    assert csv_path.read_text() == records_to_csv(pencil.n, records, meta)
+    assert_same_text(csv_path.read_text(), records_to_csv(pencil.n, records, meta))
     header = json.loads(json_path.read_text())["header"]
-    assert json_path.read_text() == records_to_json(header, skipped, records)
+    assert_same_text(json_path.read_text(), records_to_json(header, skipped, records))

@@ -13,7 +13,6 @@ from numrange.dual import (
     central_point_probe,
     chien_nakazato_ellipse_test,
     dual_fit,
-    form_to_poly,
     quadric_dual,
     sample_variety_points,
     tangent_functionals,
@@ -21,6 +20,8 @@ from numrange.dual import (
 )
 from numrange.examples import chien_nakazato_quartic_terms
 from numrange.poly import MultiPoly, evaluate
+
+from support import form_to_poly
 
 
 LORENTZ = SymmetricForm.from_rows(

@@ -11,9 +11,10 @@ import json
 import numpy as np
 
 from numrange.cli import main
-from numrange.linalg import HermitianMatrix, MatrixPencil, pencil_to_json
+from numrange.linalg import HermitianMatrix, MatrixPencil
 
 from conftest import random_pencil
+from support import pencil_to_json
 
 
 def _run(capsys, *args):

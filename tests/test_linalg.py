@@ -16,7 +16,6 @@ from numrange.linalg import (
     pairing,
     parse_rational,
     pencil_from_json,
-    pencil_to_json,
     rational_str,
     sample_mixed_state,
     sample_pure_state,
@@ -26,6 +25,7 @@ from numrange.ranges import direction_grid
 
 from conftest import random_hermitian, random_pencil
 from jacobi_reference import jacobi_eigh
+from support import pencil_to_json
 
 
 class TestGaussianRational:

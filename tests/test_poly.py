@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numrange.cones import make_cone_spec, sample_cone_boundary
-from numrange.examples import (
-    builtin_pencil,
-    chien_nakazato_cubic_terms,
-)
+from numrange.examples import builtin_pencil
 from numrange.poly import (
     ArityMismatch,
     MultiPoly,
@@ -29,6 +26,7 @@ from numrange.poly import (
 )
 
 from conftest import random_pencil
+from support import chien_nakazato_cubic_terms
 
 
 def lorentz_form(domain="exact"):

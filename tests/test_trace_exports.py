@@ -16,7 +16,7 @@ import pytest
 from numrange import __version__, cli
 from numrange.cli import main
 from numrange.examples import builtin_pencil
-from numrange.linalg import HermitianMatrix, MatrixPencil, pencil_to_json
+from numrange.linalg import HermitianMatrix, MatrixPencil
 from numrange.ranges import (
     BoundaryCloud,
     cloud_to_csv,
@@ -25,8 +25,9 @@ from numrange.ranges import (
     trace_boundary_cloud,
 )
 
-from cloud_reference import records_to_csv, records_to_json, trace_records
+from cloud_reference import assert_same_text, records_to_csv, records_to_json, trace_records
 from conftest import random_pencil
+from support import pencil_to_json
 
 # floats whose text differs between spellings: signed zero, the switch to
 # exponent form on both sides, short decimals, subnormals, the extremes
@@ -63,9 +64,9 @@ def _meta(seed, count, kind, skipped):
 
 
 def _assert_exports_match(csv_text, json_text, n, records, meta):
-    assert csv_text == records_to_csv(n, records, meta)
+    assert_same_text(csv_text, records_to_csv(n, records, meta))
     header = json.loads(json_text)["header"]
-    assert json_text == records_to_json(header, meta["skipped"], records)
+    assert_same_text(json_text, records_to_json(header, meta["skipped"], records))
 
 
 def test_empty_cloud(capsys, tmp_path):
@@ -135,9 +136,9 @@ def test_cli_writes_any_cloud_like_the_reference(name, capsys, tmp_path, monkeyp
 @pytest.mark.parametrize("name", list(CLOUDS))
 def test_cloud_to_csv_matches_reference(name):
     cloud = CLOUDS[name]
-    assert cloud_to_csv(cloud) == records_to_csv(cloud.n, cloud.records, {})
+    assert_same_text(cloud_to_csv(cloud), records_to_csv(cloud.n, cloud.records, {}))
     meta = {"b": "two words", "a": 1.5}
-    assert cloud_to_csv(cloud, meta) == records_to_csv(cloud.n, cloud.records, meta)
+    assert_same_text(cloud_to_csv(cloud, meta), records_to_csv(cloud.n, cloud.records, meta))
 
 
 def test_edge_floats_keep_their_spelling():
