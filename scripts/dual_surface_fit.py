@@ -5,8 +5,7 @@ import argparse
 
 import numpy as np
 
-from numrange.cli import _match_reference
-from numrange.dual import dual_fit, verify_dual_form
+from numrange.dual import dual_fit, match_reference, verify_dual_form
 from numrange.examples import (
     builtin_pencil,
     chien_nakazato_quartic_terms,
@@ -31,7 +30,7 @@ def main() -> None:
         f = charpoly(builtin_pencil(name))
         rng = np.random.default_rng(args.seed)
         result = dual_fit(f.to_float(), args.max_degree, rng=rng)
-        match = _match_reference(result.form, reference())
+        match = match_reference(result.form, reference())
         ref_poly = MultiPoly(4, 4, reference(), "float")
         check = verify_dual_form(f.to_float(), ref_poly, rng=rng)
         print(f"== {name}")

@@ -5,6 +5,12 @@ file), runs one pipeline stage, and emits CSV, JSON, or SVG.  Reports
 carry a reproducibility header (seed, grid sizes, tolerances, library
 versions); identical configuration yields byte-identical output.
 
+One table (SUBCOMMANDS) defines the subcommands, and each accepts only
+the options it reads: --input or --builtin, --trace-grid, --test-grid,
+--seed and --out everywhere; --format with only the formats the command
+writes (csv, json or svg for trace, json or svg for four-ellipses, json
+for the rest); --tol on verify and central; --advisory on verify.
+
 Exit codes, stable: 0 ok, 1 verification fail, 2 parse error, 3 input
 validation, 4 dimension mismatch, 5 unsupported request, 6 fit failure.
 Library errors map onto them in one table (_EXIT_CODES): a
@@ -12,7 +18,9 @@ non-Hermitian input is 3, a dimension or arity mismatch 4, a dimension
 beyond a bound or an empty cloud 5, any dual-fit error 6, and every
 other linalg, poly, range, cone or hull error 5 (the input parsed, but
 the pipeline has no answer for it).  Each prints one "error:" line;
-only a failed verification exits 1.
+only a failed verification exits 1.  A rejected command line (a bad
+value, an unknown option or format, a missing subcommand) exits 2 with
+one "error:" line as well.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -35,6 +42,7 @@ from numrange.dual import (
     central_point_probe,
     chien_nakazato_ellipse_test,
     dual_fit,
+    match_reference,
     quadric_dual,
 )
 from numrange.examples import (
@@ -120,25 +128,10 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    input: str | None
-    builtin: str | None
-    trace_grid: int
-    test_grid: int
-    tol: float | None
-    seed: int
-    fmt: str
-    out: str | None
-    advisory: bool
-    candidates: tuple
-
-
-def _header(config: RunConfig, tolerances: dict) -> dict:
+def _header(args: argparse.Namespace, tolerances: dict) -> dict:
     return {
-        "seed": config.seed,
-        "grids": {"trace": config.trace_grid, "test": config.test_grid},
+        "seed": args.seed,
+        "grids": {"trace": args.trace_grid, "test": args.test_grid},
         "tolerances": tolerances,
         "versions": {
             "numrange": __version__,
@@ -171,21 +164,21 @@ def _parse_json(text: str) -> dict:
         raise CliError(EXIT_PARSE, f"malformed JSON: {exc}") from exc
 
 
-def _resolve_pencil(config: RunConfig) -> MatrixPencil:
-    if config.builtin is not None:
-        if config.builtin == FOUR_ELLIPSES:
+def _resolve_pencil(args: argparse.Namespace) -> MatrixPencil:
+    if args.builtin is not None:
+        if args.builtin == FOUR_ELLIPSES:
             raise CliError(
                 EXIT_INPUT,
                 "four-ellipses carries conics, not a pencil; "
                 "use the four-ellipses subcommand",
             )
         try:
-            return builtin_pencil(config.builtin)
+            return builtin_pencil(args.builtin)
         except KeyError as exc:
             raise CliError(EXIT_INPUT, str(exc.args[0])) from exc
-    if config.input is None:
+    if args.input is None:
         raise CliError(EXIT_INPUT, "need --input PATH or --builtin NAME")
-    return _pencil_document(_parse_json(_read_text(config.input)))
+    return _pencil_document(_parse_json(_read_text(args.input)))
 
 
 def _pencil_document(doc: dict) -> MatrixPencil:
@@ -195,12 +188,12 @@ def _pencil_document(doc: dict) -> MatrixPencil:
         raise CliError(EXIT_PARSE, f"malformed pencil document: {exc}") from exc
 
 
-def _resolve_polynomial(config: RunConfig) -> MultiPoly:
-    if config.builtin is not None:
-        return charpoly(_resolve_pencil(config))
-    if config.input is None:
+def _resolve_polynomial(args: argparse.Namespace) -> MultiPoly:
+    if args.builtin is not None:
+        return charpoly(_resolve_pencil(args))
+    if args.input is None:
         raise CliError(EXIT_INPUT, "need --input PATH or --builtin NAME")
-    doc = _parse_json(_read_text(config.input))
+    doc = _parse_json(_read_text(args.input))
     if isinstance(doc, dict) and "matrices" in doc:
         return charpoly(_pencil_document(doc))
     try:
@@ -209,9 +202,9 @@ def _resolve_polynomial(config: RunConfig) -> MultiPoly:
         raise CliError(EXIT_PARSE, f"malformed polynomial document: {exc}") from exc
 
 
-def _emit(config: RunConfig, text: str, echo: str | None = None):
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str, echo: str | None = None):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         if echo:
             print(echo)
@@ -227,51 +220,54 @@ def _json_text(doc: dict) -> str:
 # subcommands
 
 
-def cmd_charpoly(config: RunConfig) -> int:
-    pencil = _resolve_pencil(config)
+def cmd_charpoly(args: argparse.Namespace) -> int:
+    pencil = _resolve_pencil(args)
     f = charpoly(pencil)
     pretty = poly_pretty(f)
     doc = {
-        "header": _header(config, {}),
+        "header": _header(args, {}),
         "domain": f.domain,
         "polynomial": json.loads(poly_to_json(f)),
         "pretty": pretty,
     }
-    _emit(config, _json_text(doc), echo=pretty)
+    _emit(args, _json_text(doc), echo=pretty)
     return EXIT_OK
 
 
-def cmd_trace(config: RunConfig) -> int:
-    pencil = _resolve_pencil(config)
+def cmd_trace(args: argparse.Namespace) -> int:
+    pencil = _resolve_pencil(args)
     if pencil.n < 2:
         raise CliError(
             EXIT_DIMENSION, f"tracing needs at least two matrices, got {pencil.n}"
         )
-    rng = np.random.default_rng(config.seed)
-    grid = direction_grid(pencil.n, config.trace_grid, rng)
-    cloud = trace_boundary_cloud(pencil, grid)
+    rng = np.random.default_rng(args.seed)
+    grid = direction_grid(pencil.n, args.trace_grid, rng)
+    # degenerate branches are drawn too, flagged simple=False and counted
+    # as verify counts them
+    cloud = trace_boundary_cloud(pencil, grid, include_degenerate=True)
+    skipped = int(np.count_nonzero(~cloud.simple))
     meta = {
-        "seed": config.seed,
-        "trace_grid": config.trace_grid,
+        "seed": args.seed,
+        "trace_grid": args.trace_grid,
         "grid_kind": grid.kind,
-        "skipped": cloud.skipped,
+        "skipped": skipped,
         "numrange": __version__,
     }
-    if config.fmt == "svg":
+    if args.format == "svg":
         if pencil.n != 2:
             raise CliError(
                 EXIT_UNSUPPORTED, "SVG tracing is a planar view; pencil has n != 2"
             )
-        _emit(config, _trace_svg(cloud))
+        _emit(args, _trace_svg(cloud))
         return EXIT_OK
-    if config.fmt == "json":
-        doc = {"header": _header(config, {}), "rows": [], "skipped": cloud.skipped}
+    if args.format == "json":
+        doc = {"header": _header(args, {}), "rows": [], "skipped": skipped}
         # a newline and two spaces open only the document's own keys, so
         # this finds "rows" and nothing inside the header
         text = _json_text(doc).replace('\n  "rows": []', '\n  "rows": ' + _rows_json(cloud), 1)
-        _emit(config, text)
+        _emit(args, text)
         return EXIT_OK
-    _emit(config, cloud_to_csv(cloud, meta))
+    _emit(args, cloud_to_csv(cloud, meta))
     return EXIT_OK
 
 
@@ -310,49 +306,49 @@ def _trace_svg(cloud) -> str:
     return canvas.render()
 
 
-def cmd_verify(config: RunConfig) -> int:
-    pencil = _resolve_pencil(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    pencil = _resolve_pencil(args)
     if pencil.n < 2:
         raise CliError(
             EXIT_DIMENSION, f"verification needs at least two matrices, got {pencil.n}"
         )
-    if pencil.n > 3 and not config.advisory:
+    if pencil.n > 3 and not args.advisory:
         raise CliError(
             EXIT_UNSUPPORTED,
             f"no hull support above three matrices (n = {pencil.n}); "
             "pass --advisory for the raw cloud bound",
         )
-    rng = np.random.default_rng(config.seed)
-    tgrid = direction_grid(pencil.n, config.trace_grid, rng)
-    pgrid = direction_grid(pencil.n, config.test_grid, rng)
-    tol = VERIFY_TOL if config.tol is None else config.tol
+    rng = np.random.default_rng(args.seed)
+    tgrid = direction_grid(pencil.n, args.trace_grid, rng)
+    pgrid = direction_grid(pencil.n, args.test_grid, rng)
+    tol = VERIFY_TOL if args.tol is None else args.tol
     report = verify_main_theorem(
-        pencil, tgrid, pgrid, tol=tol, advisory=config.advisory
+        pencil, tgrid, pgrid, tol=tol, advisory=args.advisory
     )
     doc = {
-        "header": _header(config, {"max_gap": report.tol}),
+        "header": _header(args, {"max_gap": report.tol}),
         **report.to_json_dict(),
     }
-    _emit(config, _json_text(doc), echo=f"verdict: {report.verdict}")
+    _emit(args, _json_text(doc), echo=f"verdict: {report.verdict}")
     return EXIT_OK if report.passed() else EXIT_VERIFY_FAIL
 
 
-def cmd_dual_fit(config: RunConfig) -> int:
-    f = _resolve_polynomial(config)
-    rng = np.random.default_rng(config.seed)
+def cmd_dual_fit(args: argparse.Namespace) -> int:
+    f = _resolve_polynomial(args)
+    rng = np.random.default_rng(args.seed)
     try:
         result = dual_fit(f.to_float(), DUAL_FIT_MAX_DEGREE, rng=rng)
     except NoFormFound as exc:
         raise CliError(EXIT_FIT, f"no dual form found: {exc}") from exc
     doc = {
-        "header": _header(config, {}),
+        "header": _header(args, {}),
         **result.to_json_dict(),
     }
-    reference = _dual_reference(config.builtin)
+    reference = _dual_reference(args.builtin)
     if reference is not None:
-        doc["reference_match"] = _match_reference(result.form, reference)
+        doc["reference_match"] = match_reference(result.form, reference)
     _emit(
-        config,
+        args,
         _json_text(doc),
         echo=f"degree {result.degree}, rms {result.residual_rms:.3e}",
     )
@@ -367,37 +363,17 @@ def _dual_reference(builtin: str | None):
     return None
 
 
-def _match_reference(form: MultiPoly, reference: dict) -> dict:
-    # rescale the unit-norm fit so one reference term matches exactly
-    anchor = max(reference, key=lambda e: (abs(reference[e]), e))
-    got = form.terms.get(anchor, 0.0)
-    if abs(float(got)) < 1e-12:
-        return {"matched": False, "note": "anchor coefficient missing from fit"}
-    ratio = reference[anchor] / float(got)
-    worst = 0.0
-    for exp in set(reference) | set(form.terms):
-        want = float(reference.get(exp, 0.0))
-        have = float(form.terms.get(exp, 0.0)) * ratio
-        worst = max(worst, abs(want - have))
-    return {
-        "matched": bool(worst <= 1e-6),
-        "anchor": list(anchor),
-        "scale": ratio,
-        "max_coeff_error": worst,
-    }
-
-
-def cmd_central(config: RunConfig) -> int:
-    pencil = _resolve_pencil(config)
-    candidates = _parse_candidates(config, pencil.n)
-    rng = np.random.default_rng(config.seed)
-    grid = direction_grid(pencil.n, config.trace_grid, rng)
+def cmd_central(args: argparse.Namespace) -> int:
+    pencil = _resolve_pencil(args)
+    candidates = _parse_candidates(args, pencil.n)
+    rng = np.random.default_rng(args.seed)
+    grid = direction_grid(pencil.n, args.trace_grid, rng)
     cloud = trace_boundary_cloud(pencil, grid)
     patches = degenerate_patches(pencil, cloud)
     if len(patches):
         cloud = merge_boundary_clouds(cloud, patches)
-    radius = config.tol
-    if radius is None and config.builtin == CHIEN_NAKAZATO:
+    radius = args.tol
+    if radius is None and args.builtin == CHIEN_NAKAZATO:
         radius = CN_PROBE_RADIUS
     rows = []
     for cand in candidates:
@@ -408,30 +384,30 @@ def cmd_central(config: RunConfig) -> int:
             "distance": probe.distance,
             "radius": probe.radius,
         }
-        if config.builtin == CHIEN_NAKAZATO and abs(cand[1]) < 1e-12:
+        if args.builtin == CHIEN_NAKAZATO and abs(cand[1]) < 1e-12:
             exact = chien_nakazato_ellipse_test(cand[0], cand[2])
             row["ellipse_test"] = "central" if exact else "not_central"
             row["cross_check"] = row["ellipse_test"] == probe.verdict
         rows.append(row)
     doc = {
-        "header": _header(config, {"probe_radius": radius}),
+        "header": _header(args, {"probe_radius": radius}),
         "patch_records": len(patches),
         "candidates": rows,
     }
     echo = ", ".join(
         f"{tuple(r['candidate'])}: {r['verdict']}" for r in rows
     )
-    _emit(config, _json_text(doc), echo=echo)
+    _emit(args, _json_text(doc), echo=echo)
     return EXIT_OK
 
 
-def _parse_candidates(config: RunConfig, n: int) -> list:
-    if not config.candidates:
-        if config.builtin == CHIEN_NAKAZATO:
+def _parse_candidates(args: argparse.Namespace, n: int) -> list:
+    if not args.candidates:
+        if args.builtin == CHIEN_NAKAZATO:
             return [(t, 0.0, 0.0) for t in CN_DEFAULT_CANDIDATES]
         raise CliError(EXIT_INPUT, "no candidates given")
     out = []
-    for raw in config.candidates:
+    for raw in args.candidates:
         parts = raw.split(",")
         try:
             vals = [float(p) for p in parts]
@@ -448,8 +424,8 @@ def _parse_candidates(config: RunConfig, n: int) -> list:
     return out
 
 
-def cmd_four_ellipses(config: RunConfig) -> int:
-    conics = _resolve_conics(config)
+def cmd_four_ellipses(args: argparse.Namespace) -> int:
+    conics = _resolve_conics(args)
     duals = []
     for k, M in enumerate(conics):
         try:
@@ -464,30 +440,30 @@ def cmd_four_ellipses(config: RunConfig) -> int:
     hull = convex_hull_2d(allpts)
     contributors = sorted({int(i) // ELLIPSE_SAMPLES for i in hull.vertex_indices})
     redundant = [k for k in range(len(conics)) if k not in contributors]
-    if config.fmt == "svg":
+    if args.format == "svg":
         canvas = SvgCanvas()
         palette = ("#1f6feb", "#d29922", "#3fb950", "#f85149")
         for k, loop in enumerate(loops):
             canvas.polygon(loop, stroke=palette[k % len(palette)])
         if not hull.flat:
             canvas.polygon(hull.vertices, stroke="#8b949e")
-        _emit(config, canvas.render())
+        _emit(args, canvas.render())
         return EXIT_OK
     doc = {
-        "header": _header(config, {}),
+        "header": _header(args, {}),
         "dual_conics": [[list(map(float, row)) for row in D] for D in duals],
         "hull_vertices": [list(map(float, v)) for v in hull.vertices],
         "contributors": contributors,
         "redundant": redundant,
     }
-    _emit(config, _json_text(doc), echo=f"redundant conics: {redundant}")
+    _emit(args, _json_text(doc), echo=f"redundant conics: {redundant}")
     return EXIT_OK
 
 
-def _resolve_conics(config: RunConfig) -> list:
-    if config.input is None:
+def _resolve_conics(args: argparse.Namespace) -> list:
+    if args.input is None:
         return four_ellipses_conics()
-    doc = _parse_json(_read_text(config.input))
+    doc = _parse_json(_read_text(args.input))
     raw = doc.get("conics") if isinstance(doc, dict) else None
     if not isinstance(raw, list):
         raise CliError(EXIT_PARSE, "expected top-level key 'conics' holding a list")
@@ -545,85 +521,71 @@ def _conic_loop(D: np.ndarray, index: int) -> np.ndarray:
 # argument plumbing
 
 
-def _add_common(p: argparse.ArgumentParser, trace_default: int, test_default: int):
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--input", help="pencil or polynomial JSON file")
-    src.add_argument("--builtin", help=f"one of {', '.join(BUILTIN_NAMES)}")
-    p.add_argument("--trace-grid", type=int, default=trace_default)
-    p.add_argument("--test-grid", type=int, default=test_default)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json", "svg"), default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--advisory", action="store_true")
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with one error line and exit 2, instead of
+    argparse's usage block and SystemExit."""
+
+    def error(self, message):
+        raise CliError(EXIT_PARSE, f"{self.prog}: {message}")
+
+
+# Options beyond the common set, by the name a subcommand row lists.
+_EXTRA_OPTIONS = {
+    "tol": (("--tol",), {"type": float, "default": None}),
+    "advisory": (("--advisory",), {"action": "store_true"}),
+    "candidates": (
+        ("candidates",),
+        {"nargs": "*", "help": "points 'y1,y2,...' or bare y1 for the first-axis line"},
+    ),
+}
+
+# One row per subcommand: name, command, trace and test grid defaults,
+# the formats it writes (the first is the default), and its extra options.
+SUBCOMMANDS = (
+    ("charpoly", cmd_charpoly, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ()),
+    ("trace", cmd_trace, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("csv", "json", "svg"), ()),
+    ("verify", cmd_verify, VERIFY_TRACE_GRID, VERIFY_TEST_GRID, ("json",), ("tol", "advisory")),
+    ("dual-fit", cmd_dual_fit, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ()),
+    ("central", cmd_central, CENTRAL_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ("tol", "candidates")),
+    ("four-ellipses", cmd_four_ellipses, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json", "svg"), ()),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="numrange",
         description="joint numerical ranges, dual forms, hyperbolicity cones",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    specs = (
-        ("charpoly", DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, "json"),
-        ("trace", DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, "csv"),
-        ("verify", VERIFY_TRACE_GRID, VERIFY_TEST_GRID, "json"),
-        ("dual-fit", DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, "json"),
-        ("central", CENTRAL_TRACE_GRID, DEFAULT_TEST_GRID, "json"),
-        ("four-ellipses", DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, "json"),
-    )
-    for name, tg, pg, fmt in specs:
+    for name, cmd, trace_grid, test_grid, formats, extras in SUBCOMMANDS:
         p = sub.add_parser(name)
-        _add_common(p, tg, pg)
-        p.set_defaults(default_format=fmt)
-        if name == "central":
-            p.add_argument(
-                "candidates",
-                nargs="*",
-                help="points 'y1,y2,...' or bare y1 for the first-axis line",
-            )
+        src = p.add_mutually_exclusive_group()
+        src.add_argument("--input", help="pencil or polynomial JSON file")
+        src.add_argument("--builtin", help=f"one of {', '.join(BUILTIN_NAMES)}")
+        p.add_argument("--trace-grid", type=int, default=trace_grid)
+        p.add_argument("--test-grid", type=int, default=test_grid)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", default=None)
+        for extra in extras:
+            flags, kwargs = _EXTRA_OPTIONS[extra]
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=cmd)
     return ap
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    for label, value in (("trace", ns.trace_grid), ("test", ns.test_grid)):
-        if value < GRID_FLOOR:
-            raise CliError(
-                EXIT_INPUT, f"{label} grid {value} below the floor of {GRID_FLOOR}"
-            )
-    return RunConfig(
-        subcommand=ns.subcommand,
-        input=ns.input,
-        builtin=ns.builtin,
-        trace_grid=ns.trace_grid,
-        test_grid=ns.test_grid,
-        tol=ns.tol,
-        seed=ns.seed,
-        fmt=ns.format or ns.default_format,
-        out=ns.out,
-        advisory=ns.advisory,
-        candidates=tuple(getattr(ns, "candidates", ()) or ()),
-    )
-
-
-_DISPATCH = {
-    "charpoly": cmd_charpoly,
-    "trace": cmd_trace,
-    "verify": cmd_verify,
-    "dual-fit": cmd_dual_fit,
-    "central": cmd_central,
-    "four-ellipses": cmd_four_ellipses,
-}
 
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-        config = _config_from_args(ns)
+        args = _build_parser().parse_args(argv)
+        for label, value in (("trace", args.trace_grid), ("test", args.test_grid)):
+            if value < GRID_FLOOR:
+                raise CliError(
+                    EXIT_INPUT, f"{label} grid {value} below the floor of {GRID_FLOOR}"
+                )
         # Overflow on extreme input is left to the pipelines' own gates;
         # numpy's warnings would break the one-line stderr contract.
         with np.errstate(all="ignore"):
-            return _DISPATCH[config.subcommand](config)
+            return args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

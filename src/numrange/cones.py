@@ -250,9 +250,6 @@ class DualConeReport:
     witness: tuple | None
     checked: int
 
-    def inside(self) -> bool:
-        return self.classification == "inside"
-
     def to_json_dict(self) -> dict:
         return {
             "membership": self.classification,

@@ -419,6 +419,31 @@ def verify_dual_form(f: MultiPoly, q: MultiPoly, samples: int = 200, rng=None) -
     return DualFormReport(rms=rms, max_abs=max(resid), samples_used=len(funcs))
 
 
+def match_reference(form: MultiPoly, reference: dict) -> dict:
+    """Compare a fitted form with reference terms (exponent -> coefficient).
+
+    The fit is unit-norm, so it is first rescaled to match the largest
+    reference term exactly; "matched" holds when every coefficient then
+    agrees to 1e-6.
+    """
+    anchor = max(reference, key=lambda e: (abs(reference[e]), e))
+    got = form.terms.get(anchor, 0.0)
+    if abs(float(got)) < 1e-12:
+        return {"matched": False, "note": "anchor coefficient missing from fit"}
+    ratio = reference[anchor] / float(got)
+    worst = 0.0
+    for exp in set(reference) | set(form.terms):
+        want = float(reference.get(exp, 0.0))
+        have = float(form.terms.get(exp, 0.0)) * ratio
+        worst = max(worst, abs(want - have))
+    return {
+        "matched": bool(worst <= 1e-6),
+        "anchor": list(anchor),
+        "scale": ratio,
+        "max_coeff_error": worst,
+    }
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     verdict: str

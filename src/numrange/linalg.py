@@ -296,13 +296,6 @@ class MatrixPencil:
             object.__setattr__(self, "_stack", arr)
         return self._stack
 
-    def combine(self, u) -> np.ndarray:
-        """Real combination u_1 A_1 + ... + u_n A_n as a complex array."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
-            raise DimensionMismatch(f"direction length {u.shape} vs n={self.n}")
-        return np.tensordot(u, self.stack(), axes=1)
-
     def norm(self) -> float:
         """Root of the summed squared Frobenius norms."""
         return float(math.sqrt(sum(m.frobenius() ** 2 for m in self.matrices)))

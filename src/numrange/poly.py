@@ -843,27 +843,8 @@ def poly_pretty(f: MultiPoly) -> str:
     pieces = []
     for exp in sorted(f.terms, reverse=True):
         c = f.terms[exp]
-        if f.domain == EXACT:
-            re = getattr(c, "re", c)
-            im = getattr(c, "im", Fraction(0))
-            if re == 0 and im == 0:
-                continue
-            if im == 0:
-                neg = re < 0
-                mag = rational_str(abs(re))
-            else:
-                neg = False
-                mag = f"({rational_str(re)}{'+' if im >= 0 else '-'}{rational_str(abs(im))}i)"
-        else:
-            cv = complex(c)
-            if abs(cv) == 0.0:
-                continue
-            if cv.imag == 0.0:
-                neg = cv.real < 0
-                mag = f"{abs(cv.real):.12g}"
-            else:
-                neg = False
-                mag = f"({cv.real:.12g}{cv.imag:+.12g}i)"
+        neg = c < 0
+        mag = rational_str(abs(c)) if f.domain == EXACT else f"{abs(c):.12g}"
         vars_part = "*".join(
             f"x{j}" if p == 1 else f"x{j}^{p}"
             for j, p in enumerate(exp)

@@ -1,4 +1,4 @@
-"""Flat SVG emission for planar figures: polylines, polygons, dots.
+"""Flat SVG emission for planar figures: polylines and polygons.
 
 No plotting dependency: elements are accumulated in data coordinates
 and written once the overall extent is known.  The vertical axis is
@@ -12,6 +12,7 @@ import numpy as np
 
 VIEW_MARGIN = 0.10
 STROKE_FRACTION = 0.004
+PIXEL_SIZE = 640
 
 
 def _fmt(v: float) -> str:
@@ -25,28 +26,19 @@ class SvgCanvas:
     def __init__(self):
         self._shapes = []
 
-    def _push(self, kind: str, pts, style: dict):
+    def _push(self, tag: str, pts, stroke: str):
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"expected (N, 2) coordinates, got {pts.shape}")
-        self._shapes.append((kind, pts, style))
+        self._shapes.append((tag, pts, stroke))
 
-    def polyline(self, pts, stroke: str = "#1f6feb", width: float | None = None):
-        self._push("polyline", pts, {"stroke": stroke, "width": width})
+    def polyline(self, pts, stroke: str = "#1f6feb"):
+        self._push("polyline", pts, stroke)
 
-    def polygon(
-        self,
-        pts,
-        stroke: str = "#d29922",
-        fill: str = "none",
-        width: float | None = None,
-    ):
-        self._push("polygon", pts, {"stroke": stroke, "fill": fill, "width": width})
+    def polygon(self, pts, stroke: str = "#d29922"):
+        self._push("polygon", pts, stroke)
 
-    def dots(self, pts, radius: float | None = None, fill: str = "#c9d1d9"):
-        self._push("dots", pts, {"radius": radius, "fill": fill})
-
-    def render(self, pixel_size: int = 640) -> str:
+    def render(self) -> str:
         if not self._shapes:
             raise ValueError("nothing to render")
         allpts = np.vstack([p for _, p, _ in self._shapes])
@@ -61,34 +53,19 @@ class SvgCanvas:
             span[0] + 2 * margin,
             span[1] + 2 * margin,
         )
-        default_w = STROKE_FRACTION * float(span.max())
+        width = _fmt(STROKE_FRACTION * float(span.max()))
         body = []
-        for kind, pts, style in self._shapes:
+        for tag, pts, stroke in self._shapes:
             coords = " ".join(
                 f"{_fmt(x)},{_fmt(flip - y)}" for x, y in pts
             )
-            if kind == "polyline":
-                w = style["width"] if style["width"] else default_w
-                body.append(
-                    f'<polyline points="{coords}" fill="none" '
-                    f'stroke="{style["stroke"]}" stroke-width="{_fmt(w)}"/>'
-                )
-            elif kind == "polygon":
-                w = style["width"] if style["width"] else default_w
-                body.append(
-                    f'<polygon points="{coords}" fill="{style["fill"]}" '
-                    f'stroke="{style["stroke"]}" stroke-width="{_fmt(w)}"/>'
-                )
-            else:
-                r = style["radius"] if style["radius"] else 1.5 * default_w
-                for x, y in pts:
-                    body.append(
-                        f'<circle cx="{_fmt(x)}" cy="{_fmt(flip - y)}" '
-                        f'r="{_fmt(r)}" fill="{style["fill"]}"/>'
-                    )
+            body.append(
+                f'<{tag} points="{coords}" fill="none" '
+                f'stroke="{stroke}" stroke-width="{width}"/>'
+            )
         vb = " ".join(_fmt(v) for v in view)
         head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{pixel_size}" height="{pixel_size}" viewBox="{vb}">'
+            f'width="{PIXEL_SIZE}" height="{PIXEL_SIZE}" viewBox="{vb}">'
         )
         return "\n".join([head] + body + ["</svg>"]) + "\n"

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from numrange.cli import _match_reference, main
+from numrange.cli import main
 from numrange.cones import (
     dual_cone_membership,
     dual_evaluation_points,
@@ -20,7 +20,13 @@ from numrange.cones import (
     normal_ray,
     sample_cone_boundary,
 )
-from numrange.dual import SymmetricForm, chien_nakazato_ellipse_test, dual_fit, quadric_dual
+from numrange.dual import (
+    SymmetricForm,
+    chien_nakazato_ellipse_test,
+    dual_fit,
+    match_reference,
+    quadric_dual,
+)
 from numrange.examples import (
     builtin_pencil,
     chien_nakazato_quartic_terms,
@@ -113,7 +119,7 @@ def test_criterion_04_degree_three_example_has_quartic_dual():
     assert result.degree == 4
     reference = chien_nakazato_quartic_terms()
     assert len(reference) == 10
-    match = _match_reference(result.form, reference)
+    match = match_reference(result.form, reference)
     assert match["max_coeff_error"] <= 1e-7, match
     assert sw.elapsed < 60.0
 

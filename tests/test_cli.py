@@ -129,6 +129,20 @@ class TestTrace:
         assert code == 0
         assert out.startswith("<svg") and "polyline" in out
 
+    def test_svg_draws_scalar_pencil_point(self, capsys, tmp_path):
+        # A1 = I, A2 = 0: the range is the point (1, 0), reached only by
+        # the degenerate branch, which trace draws
+        p = tmp_path / "scalar.json"
+        p.write_text(json.dumps({"d": 2, "n": 2, "matrices": [
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+        ]}))
+        code, out, err = run(
+            capsys, "trace", "--input", str(p), "--trace-grid", "64", "--format", "svg"
+        )
+        assert (code, err) == (0, "")
+        assert '<polyline points="1,0 1,0 ' in out
+
     def test_byte_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["trace", "--builtin", "drop", "--trace-grid", "128", "--seed", "7"]
@@ -362,6 +376,45 @@ class TestReproHeader:
         versions = json.loads(out[: out.rfind("}") + 1])["header"]["versions"]
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         assert versions["lapack"] == f"{lapack['name']} {lapack['version']}"
+
+
+class TestCommandLine:
+    """A rejected command line exits 2 with one error line, and each
+    subcommand takes only the options it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--trace-grid", "abc"],
+            [],
+            ["trace", "--bogus"],
+            ["central", "--builtin", "drop", "--seed", "1.5", "0"],
+        ]
+        # options a subcommand does not read, formats it does not write
+        + [
+            [sub, "--advisory"]
+            for sub in ("charpoly", "trace", "dual-fit", "central", "four-ellipses")
+        ]
+        + [[sub, "--tol", "1"] for sub in ("charpoly", "trace", "dual-fit", "four-ellipses")]
+        + [
+            [sub, "--format", fmt]
+            for sub in ("charpoly", "verify", "dual-fit", "central")
+            for fmt in ("csv", "svg")
+        ]
+        + [["four-ellipses", "--format", "csv"]],
+        ids=lambda argv: " ".join(argv) or "no-subcommand",
+    )
+    def test_rejected_command_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["trace", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: numrange")
 
 
 class TestInputRobustness:

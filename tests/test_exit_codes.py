@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from numrange.cli import main
 
 I2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
-Z2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 
 
 def run_document(doc, *args):
@@ -52,17 +51,6 @@ class TestLibraryErrorTable:
         assert code == 4
         assert_one_error_line(err)
         assert "DimensionMismatch" in err
-
-    def test_trace_svg_on_scalar_pencil_is_unsupported(self):
-        # A1 = I, A2 = 0: the range is one point, and the SVG's trace
-        # skips its only, degenerate, branch
-        code, err = run_document(
-            {"d": 2, "n": 2, "matrices": [I2, Z2]},
-            "trace", "--trace-grid", "64", "--format", "svg",
-        )
-        assert code == 5
-        assert_one_error_line(err)
-        assert "EmptyCloud" in err
 
     def test_arity_mismatch_is_dimension_error(self):
         doc = {"vars": ["x0", "x1"], "degree": 1, "terms": [{"exp": [1, 0, 0], "coeff": 1}]}

@@ -69,15 +69,34 @@ def _assert_exports_match(csv_text, json_text, n, records, meta):
     assert_same_text(json_text, records_to_json(header, meta["skipped"], records))
 
 
-def test_empty_cloud(capsys, tmp_path):
-    # A1 = I, A2 = 0: the trace skips the only, degenerate, branch
+def _feed_cloud(monkeypatch, cloud):
+    """Make the CLI's `trace` export this cloud whatever it traces."""
+    monkeypatch.setattr(cli, "trace_boundary_cloud", lambda pencil, grid, include_degenerate: cloud)
+
+
+def test_empty_cloud(capsys, tmp_path, monkeypatch):
+    # A1 = I, A2 = 0: a trace that skips degenerate branches keeps nothing
+    scalar = _diagonal_pencil([1.0, 1.0], [0.0, 0.0])
+    _feed_cloud(monkeypatch, trace_boundary_cloud(scalar, direction_grid(2, 64)))
     doc = tmp_path / "scalar.json"
-    doc.write_text(pencil_to_json(_diagonal_pencil([1.0, 1.0], [0.0, 0.0])))
+    doc.write_text(pencil_to_json(scalar))
     csv_text, json_text = _trace_exports(capsys, tmp_path, ["--input", str(doc), "--trace-grid", "64"])
     assert csv_text.splitlines()[-1] == "u1,u2,branch,y1,y2,simple"
     assert '\n  "rows": [],\n' in json_text
     assert json.loads(json_text)["rows"] == []
-    _assert_exports_match(csv_text, json_text, 2, (), _meta(0, 64, "uniform_angle", 128))
+    _assert_exports_match(csv_text, json_text, 2, (), _meta(0, 64, "uniform_angle", 0))
+
+
+def test_scalar_pencil_exports_its_degenerate_branch(capsys, tmp_path):
+    # the CLI traces degenerate branches too: one simple=False row per direction
+    scalar = _diagonal_pencil([1.0, 1.0], [0.0, 0.0])
+    doc = tmp_path / "scalar.json"
+    doc.write_text(pencil_to_json(scalar))
+    csv_text, json_text = _trace_exports(capsys, tmp_path, ["--input", str(doc), "--trace-grid", "64"])
+    cloud = trace_boundary_cloud(scalar, direction_grid(2, 64), include_degenerate=True)
+    assert len(cloud) == 64 and not cloud.simple.any()
+    assert json.loads(json_text)["skipped"] == 64
+    _assert_exports_match(csv_text, json_text, 2, cloud.records, _meta(0, 64, "uniform_angle", 64))
 
 
 def test_random_four_matrix_pencil(capsys, tmp_path):
@@ -124,12 +143,13 @@ CLOUDS = {"edge2": _edge_cloud(2), "edge3": _edge_cloud(3), **dict(_degenerate_c
 def test_cli_writes_any_cloud_like_the_reference(name, capsys, tmp_path, monkeypatch):
     cloud = CLOUDS[name]
     assert not cloud.simple.all()
-    monkeypatch.setattr(cli, "trace_boundary_cloud", lambda pencil, grid: cloud)
+    _feed_cloud(monkeypatch, cloud)
     doc = tmp_path / "pencil.json"
     doc.write_text(pencil_to_json(random_pencil(2, cloud.n, np.random.default_rng(0))))
     csv_text, json_text = _trace_exports(capsys, tmp_path, ["--input", str(doc), "--trace-grid", "8"])
     kind = direction_grid(cloud.n, 8, np.random.default_rng(0)).kind
-    meta = _meta(0, 8, kind, cloud.skipped)
+    # the CLI counts the simple=False rows, not the cloud's own skipped
+    meta = _meta(0, 8, kind, int(np.count_nonzero(~cloud.simple)))
     _assert_exports_match(csv_text, json_text, cloud.n, cloud.records, meta)
 
 
