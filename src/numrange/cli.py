@@ -6,10 +6,11 @@ carry a reproducibility header (seed, grid sizes, tolerances, library
 versions); identical configuration yields byte-identical output.
 
 One table (SUBCOMMANDS) defines the subcommands, and each accepts only
-the options it reads: --input or --builtin, --trace-grid, --test-grid,
---seed and --out everywhere; --format with only the formats the command
-writes (csv, json or svg for trace, json or svg for four-ellipses, json
-for the rest); --tol on verify and central; --advisory on verify.
+the options it reads: --input, --trace-grid, --test-grid, --seed and
+--out everywhere; --builtin, the other source, everywhere but
+four-ellipses; --format with only the formats the command writes (csv,
+json or svg for trace, json or svg for four-ellipses, json for the
+rest); --tol on verify and central; --advisory on verify.
 
 Exit codes, stable: 0 ok, 1 verification fail, 2 parse error, 3 input
 validation, 4 dimension mismatch, 5 unsupported request, 6 fit failure.
@@ -20,7 +21,7 @@ other linalg, poly, range, cone or hull error 5 (the input parsed, but
 the pipeline has no answer for it).  Each prints one "error:" line;
 only a failed verification exits 1.  A rejected command line (a bad
 value, an unknown option or format, a missing subcommand) exits 2 with
-one "error:" line as well.
+one "error:" line as well, which names the subcommand when it has one.
 """
 
 from __future__ import annotations
@@ -529,8 +530,22 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_PARSE, f"{self.prog}: {message}")
 
 
-# Options beyond the common set, by the name a subcommand row lists.
+class _Subparser(_Parser):
+    """A subcommand's parser.  It rejects the arguments it does not take
+    itself, so that the error line names the subcommand; argparse would
+    hand them back to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
+
+
+# Options beyond the common set, by the name a subcommand row lists;
+# --builtin joins --input as the other source of the input.
 _EXTRA_OPTIONS = {
+    "builtin": (("--builtin",), {"help": f"one of {', '.join(BUILTIN_NAMES)}"}),
     "tol": (("--tol",), {"type": float, "default": None}),
     "advisory": (("--advisory",), {"action": "store_true"}),
     "candidates": (
@@ -542,11 +557,20 @@ _EXTRA_OPTIONS = {
 # One row per subcommand: name, command, trace and test grid defaults,
 # the formats it writes (the first is the default), and its extra options.
 SUBCOMMANDS = (
-    ("charpoly", cmd_charpoly, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ()),
-    ("trace", cmd_trace, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("csv", "json", "svg"), ()),
-    ("verify", cmd_verify, VERIFY_TRACE_GRID, VERIFY_TEST_GRID, ("json",), ("tol", "advisory")),
-    ("dual-fit", cmd_dual_fit, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ()),
-    ("central", cmd_central, CENTRAL_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ("tol", "candidates")),
+    ("charpoly", cmd_charpoly, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ("builtin",)),
+    (
+        "trace", cmd_trace, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("csv", "json", "svg"),
+        ("builtin",),
+    ),
+    (
+        "verify", cmd_verify, VERIFY_TRACE_GRID, VERIFY_TEST_GRID, ("json",),
+        ("builtin", "tol", "advisory"),
+    ),
+    ("dual-fit", cmd_dual_fit, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ("builtin",)),
+    (
+        "central", cmd_central, CENTRAL_TRACE_GRID, DEFAULT_TEST_GRID, ("json",),
+        ("builtin", "tol", "candidates"),
+    ),
     ("four-ellipses", cmd_four_ellipses, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json", "svg"), ()),
 )
 
@@ -556,12 +580,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="numrange",
         description="joint numerical ranges, dual forms, hyperbolicity cones",
     )
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+    sub = ap.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
     for name, cmd, trace_grid, test_grid, formats, extras in SUBCOMMANDS:
         p = sub.add_parser(name)
         src = p.add_mutually_exclusive_group()
         src.add_argument("--input", help="pencil or polynomial JSON file")
-        src.add_argument("--builtin", help=f"one of {', '.join(BUILTIN_NAMES)}")
         p.add_argument("--trace-grid", type=int, default=trace_grid)
         p.add_argument("--test-grid", type=int, default=test_grid)
         p.add_argument("--seed", type=int, default=0)
@@ -569,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         for extra in extras:
             flags, kwargs = _EXTRA_OPTIONS[extra]
-            p.add_argument(*flags, **kwargs)
+            (src if extra == "builtin" else p).add_argument(*flags, **kwargs)
         p.set_defaults(run=cmd)
     return ap
 

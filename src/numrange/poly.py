@@ -344,6 +344,16 @@ def restrict_to_line(f: MultiPoly, base, dir):
     one line per row: each c_k is then a column of shape (m,), computed
     elementwise by the same arithmetic as m scalar calls.  Every row's
     direction must be nonzero.
+
+    Each term is expanded one variable at a time, convolving with the
+    binomial expansion of (base_j + t*dir_j)^e.  Where dir_j is a scalar
+    zero (a coordinate axis moves one variable), that expansion stops at
+    its t^0 term: the full expansion would only add signed zero products
+    to sums that start from 0, so for finite input every coefficient is
+    the same value, bit for bit, and every nonzero product is formed in
+    the same order.  A power of t that no term reaches is a zero of
+    c_0's kind and shape: a zero column for column input, an exact zero
+    for exact input.
     """
     base = list(base)
     dir = list(dir)
@@ -357,6 +367,7 @@ def restrict_to_line(f: MultiPoly, base, dir):
         raise ValueError("direction must be nonzero")
     deg = f.degree
     out = [0] * (deg + 1)
+    top = 0
     # per-variable binomial expansions of (base_j + t*dir_j)^e, cached
     cache = {}
 
@@ -365,8 +376,9 @@ def restrict_to_line(f: MultiPoly, base, dir):
         got = cache.get(key)
         if got is None:
             b, d = base[j], dir[j]
+            still = not isinstance(d, np.ndarray) and d == 0
             got = [
-                math.comb(e, k) * b ** (e - k) * d**k for k in range(e + 1)
+                math.comb(e, k) * b ** (e - k) * d**k for k in range(1 if still else e + 1)
             ]
             cache[key] = got
         return got
@@ -377,12 +389,19 @@ def restrict_to_line(f: MultiPoly, base, dir):
             if e == 0:
                 continue
             vp = var_power(j, e)
+            if len(vp) == 1:
+                # the line leaves x_j fixed: every sum has one product
+                u = [v * vp[0] for v in u]
+                continue
             u = [
                 sum(u[i] * vp[k - i] for i in range(max(0, k - e), min(len(u), k + 1)))
                 for k in range(len(u) + e)
             ]
         for k, v in enumerate(u):
             out[k] = out[k] + v
+        top = max(top, len(u) - 1)
+    if f.terms and top < deg:
+        out[top + 1 :] = [0 + out[0] * 0 for _ in range(top, deg)]
     return out
 
 
@@ -599,7 +618,10 @@ def hyperbolicity_check(
     yields not_hyperbolic, with the first such a as the witness and its
     1-based index as samples_checked; otherwise the gray band between
     the real-root tolerance and the witness threshold, or a negative
-    sign at e, yields inconclusive.
+    sign at e, yields inconclusive.  The verdict is array work: one
+    masked reduction over the concatenated roots gives each line with
+    roots its max |root| and max |Im root|, and lines without roots are
+    skipped.
     """
     e = [float(v) for v in e]
     if len(e) != f.nvars:
@@ -613,18 +635,22 @@ def hyperbolicity_check(
         # sign convention not met; the caller should flip f
         return HyperbolicityCertificate(tuple(e), "inconclusive", None, 0)
     points = as_rng(rng).standard_normal((trials, f.nvars))
-    verdict = "hyperbolic"
-    for k, roots in enumerate(batched_roots(restrict_to_line(ff, list(-points.T), e))):
-        if len(roots) == 0:
-            continue
-        rscale = 1.0 + float(np.max(np.abs(roots)))
-        worst = float(np.max(np.abs(roots.imag)))
-        if worst > WITNESS_IMAG_TOL * rscale:
-            return HyperbolicityCertificate(
-                tuple(e), "not_hyperbolic", tuple(float(v) for v in points[k]), k + 1
-            )
-        if worst > REAL_ROOT_TOL * rscale:
-            verdict = "inconclusive"
+    roots = batched_roots(restrict_to_line(ff, list(-points.T), e))
+    sizes = np.array([len(r) for r in roots], dtype=np.intp)
+    rows = np.flatnonzero(sizes)
+    if not len(rows):
+        return HyperbolicityCertificate(tuple(e), "hyperbolic", None, trials)
+    flat = np.concatenate(roots)
+    starts = np.cumsum(sizes)[rows] - sizes[rows]
+    rscale = 1.0 + np.maximum.reduceat(np.abs(flat), starts)
+    worst = np.maximum.reduceat(np.abs(flat.imag), starts)
+    witnesses = rows[worst > WITNESS_IMAG_TOL * rscale]
+    if len(witnesses):
+        k = int(witnesses[0])
+        return HyperbolicityCertificate(
+            tuple(e), "not_hyperbolic", tuple(float(v) for v in points[k]), k + 1
+        )
+    verdict = "inconclusive" if (worst > REAL_ROOT_TOL * rscale).any() else "hyperbolic"
     return HyperbolicityCertificate(tuple(e), verdict, None, trials)
 
 

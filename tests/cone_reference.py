@@ -7,6 +7,8 @@ one scalar `restrict_to_line` call, before float forms read both off
 their Taylor table.  `check_pencil_match` is the float comparison that
 expanded `charpoly(pencil)` a second time and evaluated both forms
 point by point, before the determinants of the pencil replaced it.
+`restrict_to_line` is the full binomial expansion of every variable,
+before variables that a line does not move were expanded to t^0 only.
 """
 
 import math
@@ -23,8 +25,50 @@ from numrange.poly import (
     _taylor_shift,
     charpoly,
     evaluate,
-    restrict_to_line,
 )
+
+
+def restrict_to_line(f, base, dir):
+    """Coefficients [c_0, ..., c_deg] of t -> f(base + t*dir), expanding
+    (base_j + t*dir_j)^e in full for every variable of every term."""
+    base = list(base)
+    dir = list(dir)
+    if len(base) != f.nvars or len(dir) != f.nvars:
+        raise ArityMismatch("base/dir arity mismatch")
+    if any(isinstance(v, np.ndarray) for v in dir):
+        zero = (np.stack(np.broadcast_arrays(*dir)) == 0).all(axis=0).any()
+    else:
+        zero = all(v == 0 for v in dir)
+    if zero:
+        raise ValueError("direction must be nonzero")
+    deg = f.degree
+    out = [0] * (deg + 1)
+    cache = {}
+
+    def var_power(j, e):
+        key = (j, e)
+        got = cache.get(key)
+        if got is None:
+            b, d = base[j], dir[j]
+            got = [
+                math.comb(e, k) * b ** (e - k) * d**k for k in range(e + 1)
+            ]
+            cache[key] = got
+        return got
+
+    for exp, c in f.terms.items():
+        u = [c]
+        for j, e in enumerate(exp):
+            if e == 0:
+                continue
+            vp = var_power(j, e)
+            u = [
+                sum(u[i] * vp[k - i] for i in range(max(0, k - e), min(len(u), k + 1)))
+                for k in range(len(u) + e)
+            ]
+        for k, v in enumerate(u):
+            out[k] = out[k] + v
+    return out
 
 
 def multiplicity_at(f, x) -> int:

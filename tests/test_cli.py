@@ -416,6 +416,25 @@ class TestCommandLine:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: numrange")
 
+    @pytest.mark.parametrize(
+        "argv,prefix",
+        [
+            (["charpoly", "--tol", "1"], "numrange charpoly: unrecognized arguments: --tol 1"),
+            (["charpoly", "--trace-grid", "abc"], "numrange charpoly: argument --trace-grid:"),
+            (
+                ["four-ellipses", "--builtin", "drop"],
+                "numrange four-ellipses: unrecognized arguments: --builtin drop",
+            ),
+            (["verify", "--builtin", "drop", "2"], "numrange verify: unrecognized arguments: 2"),
+            (["--bogus", "charpoly"], "numrange: unrecognized arguments: --bogus"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_rejection_names_the_subcommand(self, capsys, argv, prefix):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
+
 
 class TestInputRobustness:
     """Malformed numbers end in a one-line error and a documented code."""
