@@ -8,8 +8,6 @@ subcommand's pass threshold instead of scaling it with the mesh.
 
 import argparse
 
-import numpy as np
-
 from numrange.examples import builtin_pencil
 from numrange.ranges import direction_grid, verify_main_theorem
 
@@ -17,14 +15,12 @@ from numrange.ranges import direction_grid, verify_main_theorem
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--test-grid", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     sizes = (250, 1000, 4000, 16000)
     for name in ("drop", "chien-nakazato"):
         pencil = builtin_pencil(name)
-        rng = np.random.default_rng(args.seed)
-        probe = direction_grid(pencil.n, args.test_grid, rng)
+        probe = direction_grid(pencil.n, args.test_grid)
         print(f"== {name}")
         prev = None
         for size in sizes:

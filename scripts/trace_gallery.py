@@ -1,7 +1,9 @@
-"""Trace every builtin pencil and drop the clouds next to this script.
+"""Trace every builtin pencil and write its cloud as CSV.
 
-Writes one CSV per pencil, an SVG for the planar one, and prints a
-one-line summary each.  Meant as a smoke run after touching the tracer.
+Writes one CSV per pencil, crossing patches merged in, into --out-dir
+(./gallery by default), and prints a one-line summary each: sizes,
+record and patch counts, the range of |y| and the file written.  Meant
+as a smoke run after touching the tracer.
 """
 
 import argparse

@@ -26,7 +26,7 @@ from numrange.poly import (
     check_multiplicity_lemma,
     restrict_to_line,
 )
-from numrange.hulls import ConvexHull, convex_hull_2d, convex_hull_3d, hull_support
+from numrange.hulls import ConvexHull, convex_hull_2d, convex_hull_3d
 from numrange.ranges import (
     BoundaryCloud,
     DirectionGrid,

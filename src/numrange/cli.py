@@ -1,16 +1,23 @@
 """Command line surface: pencil ingestion, tracing, verification, fits.
 
-Every subcommand reads a pencil or polynomial (builtin name or JSON
-file), runs one pipeline stage, and emits CSV, JSON, or SVG.  Reports
-carry a reproducibility header (seed, grid sizes, tolerances, library
-versions); identical configuration yields byte-identical output.
+Every subcommand reads a pencil, a polynomial or four conics (builtin
+name or JSON file), runs one pipeline stage, and emits CSV, JSON, or
+SVG.  Reports carry a reproducibility header (the seed and grid sizes
+the subcommand takes, tolerances, library versions); identical
+configuration yields byte-identical output.
 
 One table (SUBCOMMANDS) defines the subcommands, and each accepts only
-the options it reads: --input, --trace-grid, --test-grid, --seed and
+the options it reads: --input, whose help names the file it reads, and
 --out everywhere; --builtin, the other source, everywhere but
-four-ellipses; --format with only the formats the command writes (csv,
-json or svg for trace, json or svg for four-ellipses, json for the
-rest); --tol on verify and central; --advisory on verify.
+four-ellipses; --seed on trace, verify, dual-fit and central;
+--trace-grid on trace, verify and central, --test-grid on verify;
+--format where a command writes more than json (csv, json or svg for
+trace, json or svg for four-ellipses); --tol on verify and central.
+The header records exactly the settings a subcommand takes.
+
+verify compares the support of the traced cloud's hull with the true
+support for n <= 3; for n >= 4 it takes the cloud maximum and reports
+"advisory": true.
 
 Exit codes, stable: 0 ok, 1 verification fail, 2 parse error, 3 input
 validation, 4 dimension mismatch, 5 unsupported request, 6 fit failure.
@@ -96,7 +103,6 @@ EXIT_FIT = 6
 
 GRID_FLOOR = 8
 DEFAULT_TRACE_GRID = 2000
-DEFAULT_TEST_GRID = 1000
 VERIFY_TRACE_GRID = 20000
 VERIFY_TEST_GRID = 5000
 # Fixed acceptance bar for cmd_verify at its default grids.  The
@@ -130,9 +136,9 @@ class CliError(Exception):
 
 
 def _header(args: argparse.Namespace, tolerances: dict) -> dict:
-    return {
-        "seed": args.seed,
-        "grids": {"trace": args.trace_grid, "test": args.test_grid},
+    """The run's settings: the seed and grids the subcommand takes, the
+    tolerances it applied and the library versions."""
+    header = {
         "tolerances": tolerances,
         "versions": {
             "numrange": __version__,
@@ -140,6 +146,19 @@ def _header(args: argparse.Namespace, tolerances: dict) -> dict:
             "scipy": scipy.__version__,
             "lapack": _lapack_build(),
         },
+    }
+    if "seed" in args:
+        header["seed"] = args.seed
+    grids = _grids(args)
+    if grids:
+        header["grids"] = grids
+    return header
+
+
+def _grids(args: argparse.Namespace) -> dict:
+    """The direction grid sizes the subcommand takes, by grid name."""
+    return {
+        name: getattr(args, f"{name}_grid") for name in ("trace", "test") if f"{name}_grid" in args
     }
 
 
@@ -313,19 +332,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(
             EXIT_DIMENSION, f"verification needs at least two matrices, got {pencil.n}"
         )
-    if pencil.n > 3 and not args.advisory:
-        raise CliError(
-            EXIT_UNSUPPORTED,
-            f"no hull support above three matrices (n = {pencil.n}); "
-            "pass --advisory for the raw cloud bound",
-        )
     rng = np.random.default_rng(args.seed)
     tgrid = direction_grid(pencil.n, args.trace_grid, rng)
     pgrid = direction_grid(pencil.n, args.test_grid, rng)
     tol = VERIFY_TOL if args.tol is None else args.tol
-    report = verify_main_theorem(
-        pencil, tgrid, pgrid, tol=tol, advisory=args.advisory
-    )
+    report = verify_main_theorem(pencil, tgrid, pgrid, tol=tol)
     doc = {
         "header": _header(args, {"max_gap": report.tol}),
         **report.to_json_dict(),
@@ -542,36 +553,43 @@ class _Subparser(_Parser):
         return parsed, extras
 
 
-# Options beyond the common set, by the name a subcommand row lists;
+# Options beyond --input and --out, by the name a subcommand row lists;
 # --builtin joins --input as the other source of the input.
 _EXTRA_OPTIONS = {
     "builtin": (("--builtin",), {"help": f"one of {', '.join(BUILTIN_NAMES)}"}),
+    "seed": (("--seed",), {"type": int, "default": 0}),
     "tol": (("--tol",), {"type": float, "default": None}),
-    "advisory": (("--advisory",), {"action": "store_true"}),
     "candidates": (
         ("candidates",),
         {"nargs": "*", "help": "points 'y1,y2,...' or bare y1 for the first-axis line"},
     ),
 }
 
-# One row per subcommand: name, command, trace and test grid defaults,
-# the formats it writes (the first is the default), and its extra options.
+PENCIL_FILE = "pencil JSON file"
+
+# One row per subcommand: name, command, what its --input file holds,
+# the default size of each direction grid it takes, the formats it
+# writes (the first is the default; a json-only command takes no
+# --format), and its extra options.
 SUBCOMMANDS = (
-    ("charpoly", cmd_charpoly, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ("builtin",)),
+    ("charpoly", cmd_charpoly, PENCIL_FILE, {}, (), ("builtin",)),
     (
-        "trace", cmd_trace, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("csv", "json", "svg"),
-        ("builtin",),
+        "trace", cmd_trace, PENCIL_FILE, {"trace": DEFAULT_TRACE_GRID}, ("csv", "json", "svg"),
+        ("builtin", "seed"),
     ),
     (
-        "verify", cmd_verify, VERIFY_TRACE_GRID, VERIFY_TEST_GRID, ("json",),
-        ("builtin", "tol", "advisory"),
+        "verify", cmd_verify, PENCIL_FILE,
+        {"trace": VERIFY_TRACE_GRID, "test": VERIFY_TEST_GRID}, (), ("builtin", "seed", "tol"),
     ),
-    ("dual-fit", cmd_dual_fit, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json",), ("builtin",)),
+    ("dual-fit", cmd_dual_fit, "pencil or polynomial JSON file", {}, (), ("builtin", "seed")),
     (
-        "central", cmd_central, CENTRAL_TRACE_GRID, DEFAULT_TEST_GRID, ("json",),
-        ("builtin", "tol", "candidates"),
+        "central", cmd_central, PENCIL_FILE, {"trace": CENTRAL_TRACE_GRID}, (),
+        ("builtin", "seed", "tol", "candidates"),
     ),
-    ("four-ellipses", cmd_four_ellipses, DEFAULT_TRACE_GRID, DEFAULT_TEST_GRID, ("json", "svg"), ()),
+    (
+        "four-ellipses", cmd_four_ellipses, "JSON file with a top-level 'conics' list", {},
+        ("json", "svg"), (),
+    ),
 )
 
 
@@ -581,14 +599,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="joint numerical ranges, dual forms, hyperbolicity cones",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True, parser_class=_Subparser)
-    for name, cmd, trace_grid, test_grid, formats, extras in SUBCOMMANDS:
+    for name, cmd, input_help, grids, formats, extras in SUBCOMMANDS:
         p = sub.add_parser(name)
         src = p.add_mutually_exclusive_group()
-        src.add_argument("--input", help="pencil or polynomial JSON file")
-        p.add_argument("--trace-grid", type=int, default=trace_grid)
-        p.add_argument("--test-grid", type=int, default=test_grid)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=formats, default=formats[0])
+        src.add_argument("--input", help=input_help)
+        for grid, default in grids.items():
+            p.add_argument(f"--{grid}-grid", type=int, default=default)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None)
         for extra in extras:
             flags, kwargs = _EXTRA_OPTIONS[extra]
@@ -600,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        for label, value in (("trace", args.trace_grid), ("test", args.test_grid)):
+        for label, value in _grids(args).items():
             if value < GRID_FLOOR:
                 raise CliError(
                     EXIT_INPUT, f"{label} grid {value} below the floor of {GRID_FLOOR}"

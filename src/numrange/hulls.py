@@ -53,11 +53,6 @@ class ConvexHull:
         return _contains(self, np.asarray(x, dtype=float), slack)
 
 
-def hull_support(hull: ConvexHull, u) -> float:
-    """Support value max_v <u, v> over the hull vertices."""
-    return hull.support(u)
-
-
 def support_of_points(points: np.ndarray, u) -> float:
     """Brute-force support of a raw cloud; the hull-free fallback."""
     return float(np.max(np.asarray(points, dtype=float) @ np.asarray(u, dtype=float)))

@@ -65,7 +65,7 @@ class MultiPoly:
     """Sparse homogeneous polynomial: exponent tuple -> coefficient.
 
     Coefficients are Fraction in the exact domain, float otherwise.
-    Instances are immutable; arithmetic returns new objects.  The zero
+    Instances are immutable; scale returns a new object.  The zero
     polynomial keeps its nominal degree with an empty term map.
     """
 
@@ -102,39 +102,6 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return MultiPoly(self.nvars, self.degree, terms, self.domain)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(
-            self.nvars, self.degree, {e: -c for e, c in self.terms.items()}, self.domain
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars or other.domain != self.domain:
-                raise ArityMismatch("operands differ in arity or domain")
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    exp = tuple(a + b for a, b in zip(e1, e2))
-                    terms[exp] = terms.get(exp, 0) + c1 * c2
-            return MultiPoly(
-                self.nvars, self.degree + other.degree, terms, self.domain
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def scale(self, c) -> "MultiPoly":
         return MultiPoly(
             self.nvars,
@@ -142,14 +109,6 @@ class MultiPoly:
             {e: v * c for e, v in self.terms.items()},
             self.domain,
         )
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly(self.nvars, 0, {(0,) * self.nvars: 1}, self.domain)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -160,16 +119,6 @@ class MultiPoly:
             and self.domain == other.domain
             and self.terms == other.terms
         )
-
-    def _check_compatible(self, other: "MultiPoly"):
-        if not isinstance(other, MultiPoly):
-            raise TypeError("expected MultiPoly")
-        if (
-            other.nvars != self.nvars
-            or other.degree != self.degree
-            or other.domain != self.domain
-        ):
-            raise ArityMismatch("operands differ in arity, degree, or domain")
 
     # -- conversions -------------------------------------------------------
 

@@ -4,8 +4,9 @@ For a tuple of hermitian matrices, each direction u on the sphere gives
 the family combination M(u); every simple eigenvalue branch contributes
 a tangency point built from expectation values of its eigenvector.  The
 cloud of these points, swept over a direction grid, outlines the range;
-its convex hull is then compared against the support function
-u -> lambda_max(M(u)) on an independent test grid.
+the support of its convex hull (for n <= 3; above that, of the cloud
+itself) is then compared against the support function
+u -> lambda_max(M(u)) on a test grid.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ from numrange.linalg import (
     batched_eigh,
     batched_eigvalsh,
     group_starts,
-    sample_mixed_state,
-    sample_pure_state,
 )
 
-TANGENCY_TOL = 1e-9
-STATE_INCLUSION_TOL = 1e-6
 UNIT_NORM_TOL = 1e-12
 GAP_LOWER_SLACK = 1e-9
 # crossing patches: seed and certification gaps, relative to 1 + |pencil|,
@@ -390,20 +387,14 @@ def support_table(pencil: MatrixPencil, grid: DirectionGrid) -> SupportTable:
     return SupportTable(grid=grid, values=values)
 
 
-def tangency_residual(record: CloudRecord) -> float:
-    """|lambda - <u, y>| for one contact; zero in exact arithmetic."""
-    u = np.asarray(record.direction)
-    y = np.asarray(record.point)
-    return abs(record.eigenvalue - float(u @ y))
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of the hull-versus-support comparison.
 
     The traced cloud includes degenerate branches, one contact per
     repeated eigenvalue group from an arbitrary vector of its
-    eigenspace; `skipped` counts those simple=False contacts.
+    eigenspace; `skipped` counts those simple=False contacts.  `advisory`
+    marks a cloud maximum standing in for the hull (n >= 4).
     """
 
     n: int
@@ -449,26 +440,22 @@ def verify_main_theorem(
     trace_grid: DirectionGrid,
     test_grid: DirectionGrid,
     tol: float | None = None,
-    advisory: bool = False,
 ) -> VerifyReport:
-    """Compare hull support of the traced cloud with the true support.
+    """Compare the support of the traced cloud with the true support.
 
-    The gap lambda_max(M(u)) - hull_support(u) must be nonnegative up to
-    1e-9 * (1 + |pencil|) roundoff (the cloud never sticks out) and at
-    most tol (the cloud fills the range).  Default tol scales with the
-    mesh of the trace grid and the family norm.  Above n=3 there is no
-    hull support; pass advisory=True to fall back to the raw cloud
-    maximum, reported as advisory rather than certified.  Repeated
-    eigenvalues are traced too (include_degenerate=True), so a pencil
-    whose branches all cross, down to a scalar one, still has a cloud.
+    The gap lambda_max(M(u)) - h(u), with h the support of the traced
+    cloud, must be nonnegative up to 1e-9 * (1 + |pencil|) roundoff
+    (the cloud never sticks out) and at most tol (the cloud fills the
+    range).  Default tol scales with the mesh of the trace grid and the
+    family norm.  For n <= 3, h is the support of the cloud's hull;
+    above n = 3 there is no hull, and h is the raw cloud maximum,
+    reported as advisory rather than certified.  Repeated eigenvalues
+    are traced too (include_degenerate=True), so a pencil whose
+    branches all cross, down to a scalar one, still has a cloud.
     """
     n = pencil.n
     if n < 2:
         raise UnsupportedDimension("need at least two matrices to verify a range")
-    if n > 3 and not advisory:
-        raise UnsupportedDimension(
-            f"no certified hull in n={n}; rerun with advisory=True for a cloud-based gap"
-        )
     cloud = trace_boundary_cloud(pencil, trace_grid, include_degenerate=True)
     pts = cloud.points()
     use_hull = n <= 3
@@ -499,43 +486,6 @@ def verify_main_theorem(
         skipped=int(np.count_nonzero(~cloud.simple)),
         advisory=not use_hull,
     )
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    checked: int
-    violations: int
-    worst_excess: float
-
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def verify_state_inclusion(
-    pencil: MatrixPencil,
-    hull: ConvexHull,
-    count: int = 200,
-    rng=None,
-    mixed_fraction: float = 0.5,
-) -> InclusionReport:
-    """Expectation tuples of random states must land inside the hull."""
-    gen = as_rng(rng)
-    scale = 1.0 + float(np.max(np.abs(hull.vertices)))
-    slack = STATE_INCLUSION_TOL * scale
-    violations = 0
-    worst = 0.0
-    for i in range(count):
-        if gen.uniform() < mixed_fraction:
-            rho = sample_mixed_state(pencil.d, gen)
-        else:
-            rho = sample_pure_state(pencil.d, gen)
-        y = np.array(rho.expectations(pencil))
-        if not hull.contains(y, slack):
-            violations += 1
-            if hull.normals is not None:
-                excess = float(np.max(hull.normals @ y - hull.offsets))
-                worst = max(worst, excess)
-    return InclusionReport(checked=count, violations=violations, worst_excess=worst)
 
 
 def cloud_to_csv(cloud: BoundaryCloud, metadata: dict | None = None) -> str:

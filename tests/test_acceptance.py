@@ -32,7 +32,7 @@ from numrange.examples import (
     chien_nakazato_quartic_terms,
     steiner_quartic_terms,
 )
-from numrange.hulls import convex_hull_2d, convex_hull_3d, hull_support
+from numrange.hulls import convex_hull_2d, convex_hull_3d
 from numrange.linalg import HermitianMatrix, MatrixPencil
 from numrange.poly import charpoly, check_multiplicity_lemma
 from numrange.ranges import (
@@ -240,5 +240,5 @@ def test_criterion_10_hull_support_equals_brute_force():
             for _ in range(20):
                 u = rng.standard_normal(dim)
                 brute = float(np.max(pts @ u))
-                assert abs(hull_support(hull, u) - brute) <= 1e-10
+                assert abs(hull.support(u) - brute) <= 1e-10
     assert sw.elapsed < 30.0

@@ -7,6 +7,7 @@ from numrange.cli import main
 from numrange.dual import SymmetricForm, quadric_dual
 from numrange.linalg import HermitianMatrix, MatrixPencil
 from numrange.poly import poly_to_json
+from numrange.ranges import direction_grid, support_table, trace_boundary_cloud
 
 from conftest import random_pencil
 from support import form_to_poly, pencil_to_json
@@ -195,21 +196,24 @@ class TestVerify:
         # one simple=False contact per direction
         assert doc["skipped"] == doc["grid_sizes"]["trace"]
 
-    def test_four_matrices_need_advisory(self, capsys, tmp_path):
+    def test_four_matrices_report_advisory(self, capsys, tmp_path):
+        # no hull above three matrices: the cloud maximum stands in
         pencil = random_pencil(2, 4, np.random.default_rng(1))
         p = tmp_path / "four.json"
         p.write_text(pencil_to_json(pencil))
-        code, _, err = run(
+        code, out, _ = run(
             capsys, "verify", "--input", str(p), "--trace-grid", "64",
             "--test-grid", "32",
         )
-        assert code == 5
-        assert "advisory" in err
-        code2, _, _ = run(
-            capsys, "verify", "--input", str(p), "--trace-grid", "64",
-            "--test-grid", "32", "--advisory",
-        )
-        assert code2 in (0, 1)
+        assert code in (0, 1)
+        doc = json.loads(out[: out.rfind("}") + 1])
+        assert doc["advisory"] is True
+        # the same grids as the command's: both drawn from one seed-0 stream
+        rng = np.random.default_rng(0)
+        tgrid, pgrid = direction_grid(4, 64, rng), direction_grid(4, 32, rng)
+        cloud = trace_boundary_cloud(pencil, tgrid, include_degenerate=True)
+        gaps = support_table(pencil, pgrid).values - (cloud.coords @ pgrid.directions.T).max(axis=0)
+        assert doc["max_gap"] == pytest.approx(gaps.max(), abs=1e-12)
 
 
 class TestDualFit:
@@ -370,8 +374,31 @@ class TestReproHeader:
         assert "numrange" in header["versions"]
         assert "numpy" in header["versions"]
 
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (["charpoly", "--builtin", "drop"], {}),
+            (["trace", "--builtin", "drop", "--trace-grid", "64", "--format", "json"],
+             {"seed": 0, "grids": {"trace": 64}}),
+            (["verify", "--builtin", "drop", "--trace-grid", "64", "--test-grid", "16"],
+             {"seed": 0, "grids": {"trace": 64, "test": 16}}),
+            (["dual-fit", "--builtin", "cayley", "--seed", "3"], {"seed": 3}),
+            (["central", "--builtin", "drop", "--trace-grid", "64", "2"],
+             {"seed": 0, "grids": {"trace": 64}}),
+            (["four-ellipses"], {}),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else "",
+    )
+    def test_header_keys_follow_options(self, capsys, argv, keys):
+        # the header records the settings a subcommand takes, and no others
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        header = json.loads(out[: out.rfind("}") + 1])["header"]
+        assert set(header) == {"tolerances", "versions"} | set(keys)
+        assert {k: header[k] for k in keys} == keys
+
     def test_header_records_lapack_build(self, capsys):
-        code, out, _ = run(capsys, "charpoly", "--builtin", "drop", "--format", "json")
+        code, out, _ = run(capsys, "charpoly", "--builtin", "drop")
         assert code == 0
         versions = json.loads(out[: out.rfind("}") + 1])["header"]["versions"]
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
@@ -393,7 +420,7 @@ class TestCommandLine:
         # options a subcommand does not read, formats it does not write
         + [
             [sub, "--advisory"]
-            for sub in ("charpoly", "trace", "dual-fit", "central", "four-ellipses")
+            for sub in ("charpoly", "trace", "verify", "dual-fit", "central", "four-ellipses")
         ]
         + [[sub, "--tol", "1"] for sub in ("charpoly", "trace", "dual-fit", "four-ellipses")]
         + [
@@ -401,7 +428,17 @@ class TestCommandLine:
             for sub in ("charpoly", "verify", "dual-fit", "central")
             for fmt in ("csv", "svg")
         ]
-        + [["four-ellipses", "--format", "csv"]],
+        + [["four-ellipses", "--format", "csv"]]
+        # settings a subcommand would only echo into its header
+        + [
+            [sub, opt, "100"]
+            for sub in ("charpoly", "four-ellipses")
+            for opt in ("--seed", "--trace-grid", "--test-grid")
+        ]
+        + [["dual-fit", "--trace-grid", "100"], ["dual-fit", "--test-grid", "100"]]
+        + [["trace", "--test-grid", "100"], ["central", "--test-grid", "100"]]
+        # --format where json is the only format
+        + [[sub, "--format", "json"] for sub in ("charpoly", "verify", "dual-fit", "central")],
         ids=lambda argv: " ".join(argv) or "no-subcommand",
     )
     def test_rejected_command_line(self, capsys, argv):
@@ -420,7 +457,7 @@ class TestCommandLine:
         "argv,prefix",
         [
             (["charpoly", "--tol", "1"], "numrange charpoly: unrecognized arguments: --tol 1"),
-            (["charpoly", "--trace-grid", "abc"], "numrange charpoly: argument --trace-grid:"),
+            (["verify", "--trace-grid", "abc"], "numrange verify: argument --trace-grid:"),
             (
                 ["four-ellipses", "--builtin", "drop"],
                 "numrange four-ellipses: unrecognized arguments: --builtin drop",

@@ -8,22 +8,25 @@ from numrange.cones import (
     ConeError,
     NotCertifiedHyperbolic,
     SingularBoundaryPoint,
-    base_slice,
-    chart_generators,
     cone_membership,
-    cone_support_agreement,
     dual_cone_membership,
     dual_evaluation_points,
     functional_point,
-    halfspace_filter,
     make_cone_spec,
-    nonnegative_generation,
     normal_ray,
     sample_cone_boundary,
 )
 from numrange.linalg import HermitianMatrix, MatrixPencil, batched_eigvalsh
 from numrange.poly import MultiPoly, charpoly
 from numrange.ranges import BoundaryCloud, degenerate_patches, direction_grid, trace_boundary_cloud
+
+from support import (
+    base_slice,
+    chart_generators,
+    cone_support_agreement,
+    halfspace_filter,
+    nonnegative_generation,
+)
 
 
 def lorentz_form() -> MultiPoly:

@@ -6,7 +6,6 @@ from numrange.hulls import (
     HullError,
     convex_hull_2d,
     convex_hull_3d,
-    hull_support,
     support_of_points,
 )
 
@@ -55,7 +54,7 @@ class TestHull2d:
         hull = convex_hull_2d(pts)
         for _ in range(40):
             u = rng.standard_normal(2)
-            assert hull_support(hull, u) == pytest.approx(
+            assert hull.support(u) == pytest.approx(
                 support_of_points(pts, u), abs=1e-10
             )
 
@@ -78,7 +77,7 @@ class TestHull3d:
         hull = convex_hull_3d(pts)
         for _ in range(40):
             u = rng.standard_normal(3)
-            assert hull_support(hull, u) == pytest.approx(
+            assert hull.support(u) == pytest.approx(
                 support_of_points(pts, u), abs=1e-10
             )
 
@@ -89,7 +88,7 @@ class TestHull3d:
         hull = convex_hull_3d(pts)
         assert hull.flat
         u = np.array([1.0, 2.0, -0.5])
-        assert hull_support(hull, u) == pytest.approx(
+        assert hull.support(u) == pytest.approx(
             support_of_points(pts, u), abs=1e-9
         )
 
@@ -126,7 +125,7 @@ def test_hull_2d_support_never_below_any_point(seed, count):
     pts = rng.standard_normal((count, 2))
     hull = convex_hull_2d(pts)
     u = rng.standard_normal(2)
-    assert hull_support(hull, u) >= support_of_points(pts, u) - 1e-10
+    assert hull.support(u) >= support_of_points(pts, u) - 1e-10
 
 
 @settings(deadline=None, max_examples=25)
@@ -137,6 +136,6 @@ def test_hull_2d_rotation_equivariance(seed, angle):
     c, s = np.cos(angle), np.sin(angle)
     R = np.array([[c, -s], [s, c]])
     u = rng.standard_normal(2)
-    h1 = hull_support(convex_hull_2d(pts), u)
-    h2 = hull_support(convex_hull_2d(pts @ R.T), R @ u)
+    h1 = convex_hull_2d(pts).support(u)
+    h2 = convex_hull_2d(pts @ R.T).support(R @ u)
     assert h2 == pytest.approx(h1, abs=1e-9)

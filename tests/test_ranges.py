@@ -14,14 +14,13 @@ from numrange.ranges import (
     merge_boundary_clouds,
     support_function,
     support_table,
-    tangency_residual,
     trace_boundary_cloud,
     uniform_angle_grid,
     verify_main_theorem,
-    verify_state_inclusion,
 )
 
 from conftest import random_pencil
+from support import tangency_residual, verify_state_inclusion
 
 
 class TestGrids:
@@ -177,14 +176,18 @@ class TestVerification:
                 pencil, direction_grid(1, 64), direction_grid(1, 64)
             )
 
-    def test_advisory_required_above_three(self):
+    def test_cloud_maximum_above_three(self):
+        # no hull above n = 3: the traced cloud's own maximum stands in,
+        # and the report says so
         rng = np.random.default_rng(0)
         pencil = random_pencil(3, 4, rng)
-        ggrid = direction_grid(4, 500, rng)
-        with pytest.raises(RangeError):
-            verify_main_theorem(pencil, ggrid, ggrid)
-        report = verify_main_theorem(pencil, ggrid, ggrid, advisory=True)
+        tgrid, pgrid = direction_grid(4, 500, rng), direction_grid(4, 200, rng)
+        report = verify_main_theorem(pencil, tgrid, pgrid)
         assert report.advisory
+        cloud = trace_boundary_cloud(pencil, tgrid, include_degenerate=True)
+        gaps = support_table(pencil, pgrid).values - (cloud.coords @ pgrid.directions.T).max(axis=0)
+        # one matmul against the per-direction maxima: equal to roundoff
+        assert (report.max_gap, report.min_gap) == pytest.approx((gaps.max(), gaps.min()), abs=1e-12)
 
     def test_report_serializes(self, drop_pencil):
         report = verify_main_theorem(
