@@ -34,6 +34,7 @@ one "error:" line as well, which names the subcommand when it has one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -593,7 +594,9 @@ SUBCOMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once: parse_args keeps its state in the namespace it returns
     ap = _Parser(
         prog="numrange",
         description="joint numerical ranges, dual forms, hyperbolicity cones",

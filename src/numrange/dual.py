@@ -157,44 +157,65 @@ def _poly_scales(f: MultiPoly):
 
 
 def _horner(coeffs, t):
-    # rows of coeffs are c_0, ..., c_deg; one value per row at its t
-    acc = np.zeros(len(t), dtype=complex)
+    # rows of coeffs are c_0, ..., c_deg; t is one value per row, or
+    # (k, rows) for k values per row
+    acc = np.zeros(t.shape, dtype=complex)
     for k in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * t + coeffs[:, k]
+        np.multiply(acc, t, out=acc)
+        acc += coeffs[:, k]
     return acc
+
+
+def _halvings(step):
+    """Rung j - 1 is step halved j times, for j = 1 .. POLISH_HALVINGS - 1.
+
+    One halving per rung: a product by 0.5**j rounds once where j
+    halvings round j times, and the two differ in the subnormals.
+    """
+    ladder = np.empty((POLISH_HALVINGS - 1, len(step)), dtype=complex)
+    for rung in ladder:
+        step = np.multiply(step, 0.5, out=rung)
+    return ladder
 
 
 def _polish_on_lines(coeffs, t):
     """Damped Newton on each row's restriction, all rows at once.
 
     Row i polishes root t[i] of c_0 + c_1 t + ... (row i of coeffs) by
-    up to POLISH_STEPS steps.  A step is halved until |value| does not
-    grow; a row stops for good when its derivative is exactly zero or
-    when POLISH_HALVINGS halvings all fail.
+    up to POLISH_STEPS steps, on full arrays under a mask of live rows.
+    Each step tries the full Newton step on every live row; the rows
+    whose |value| grew then try the rest of the halving ladder, the
+    step halved 1 .. POLISH_HALVINGS - 1 times, in one evaluation, and
+    take their first rung where |value| does not grow.  A row stops for
+    good when its derivative is exactly zero or when no rung holds.
     """
     deriv = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
     t = t.copy()
     val = _horner(coeffs, t)
-    live = np.arange(len(t))
+    live = np.ones(len(t), dtype=bool)
     for _ in range(POLISH_STEPS):
-        dv = _horner(deriv[live], t[live])
-        moving = np.abs(dv) != 0.0
-        live = live[moving]
-        step = val[live] / dv[moving]
-        pending = np.arange(len(live))
-        for _ in range(POLISH_HALVINGS):
-            rows = live[pending]
-            cand = t[rows] - step[pending]
-            cval = _horner(coeffs[rows], cand)
-            ok = np.abs(cval) <= np.abs(val[rows])
-            t[rows[ok]] = cand[ok]
-            val[rows[ok]] = cval[ok]
-            pending = pending[~ok]
-            step[pending] *= 0.5
-            if not len(pending):
-                break
-        live = np.delete(live, pending)
-        if not len(live):
+        dv = _horner(deriv, t)
+        live &= dv != 0.0
+        step = np.divide(val, dv, out=np.zeros_like(val), where=live)
+        cand = t - step
+        cval = _horner(coeffs, cand)
+        size = np.abs(val)
+        ok = np.abs(cval) <= size
+        ok &= live
+        np.copyto(t, cand, where=ok)
+        np.copyto(val, cval, where=ok)
+        miss = np.flatnonzero(live & ~ok)
+        if len(miss):
+            cands = t[miss] - _halvings(step[miss])
+            cvals = _horner(coeffs[miss], cands)
+            ok = np.abs(cvals) <= size[miss]
+            rung = ok.argmax(axis=0)
+            held = ok[rung, np.arange(len(miss))]
+            rows, rung = miss[held], rung[held]
+            t[rows] = cands[rung, held]
+            val[rows] = cvals[rung, held]
+            live[miss[~held]] = False
+        if not live.any():
             break
     return t
 
@@ -288,6 +309,7 @@ def tangent_functionals(f: MultiPoly, points) -> list:
     """Unit-normalized gradients of f at the given variety points.
 
     A real point gives a real functional, a complex point a complex one.
+    Points where the gradient norm is below 1e-300 give none.
     """
     if not len(points):
         return []
@@ -296,12 +318,13 @@ def tangent_functionals(f: MultiPoly, points) -> list:
         x = x.astype(float)
     g = batched_gradient(f, x)
     nrm = np.linalg.norm(g, axis=1)
-    out = []
-    for p, row, n in zip(points, g, nrm):
-        if n < 1e-300:
-            continue
-        out.append((row if np.iscomplexobj(p) else row.real) / n)
-    return out
+    keep = ~(nrm < 1e-300)
+    g, nrm = g[keep], nrm[keep, None]
+    if not np.iscomplexobj(g):
+        return list(g / nrm)
+    # a mixed list is solved as complex; its real points keep real parts
+    cplx = np.array([np.iscomplexobj(p) for p in points])[keep]
+    return [c if k else r for c, r, k in zip(g / nrm, g.real / nrm, cplx)]
 
 
 @dataclass(frozen=True)

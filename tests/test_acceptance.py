@@ -7,10 +7,8 @@ one PASSED/FAILED line per criterion.
 
 import json
 import time
-from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from numrange.cli import main
 from numrange.cones import (
@@ -33,7 +31,6 @@ from numrange.examples import (
     steiner_quartic_terms,
 )
 from numrange.hulls import convex_hull_2d, convex_hull_3d
-from numrange.linalg import HermitianMatrix, MatrixPencil
 from numrange.poly import charpoly, check_multiplicity_lemma
 from numrange.ranges import (
     degenerate_patches,

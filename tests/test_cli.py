@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from numrange.cli import main
+from numrange.cli import _build_parser, main
 from numrange.dual import SymmetricForm, quadric_dual
+from numrange.examples import builtin_pencil
 from numrange.linalg import HermitianMatrix, MatrixPencil
 from numrange.poly import poly_to_json
 from numrange.ranges import direction_grid, support_table, trace_boundary_cloud
@@ -471,6 +472,24 @@ class TestCommandLine:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
+
+    def test_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        # the parser is built once; a rejected call must not leak into
+        # the next one.  The file is real, so that only the clash of
+        # --input with --builtin can reject the third call.
+        p = tmp_path / "drop.json"
+        p.write_text(pencil_to_json(builtin_pencil("drop")))
+        valid = ["dual-fit", "--builtin", "drop", "--seed", "3"]
+        calls = [
+            valid,
+            ["dual-fit", "--builtin", "cayley", "--bogus"],
+            ["dual-fit", "--input", str(p), "--builtin", "drop"],
+            valid,
+        ]
+        results = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in results] == [0, 2, 2, 0]
+        assert results[0][1] == results[3][1] != ""
+        assert _build_parser() is _build_parser()
 
 
 class TestInputRobustness:
